@@ -63,6 +63,9 @@ pub struct CellGraph {
     cells: Vec<Cell>,
     /// Samples in the raw segment (port [`PortRef::RAW`]).
     raw_samples: u64,
+    /// Every consumed port with its consumers, kept up to date by
+    /// [`CellGraph::add_cell`]; see [`CellGraph::port_table`].
+    ports: Vec<(PortRef, Vec<CellId>)>,
 }
 
 impl CellGraph {
@@ -71,6 +74,7 @@ impl CellGraph {
         CellGraph {
             cells: Vec::new(),
             raw_samples,
+            ports: Vec::new(),
         }
     }
 
@@ -92,8 +96,21 @@ impl CellGraph {
                 );
             }
         }
+        let id = self.cells.len();
+        for &input in &cell.inputs {
+            match self.ports.iter_mut().find(|(port, _)| *port == input) {
+                // Ids grow with insertion, so consumers stay ascending; a
+                // cell listing the same port twice is recorded once.
+                Some((_, consumers)) => {
+                    if consumers.last() != Some(&id) {
+                        consumers.push(id);
+                    }
+                }
+                None => self.ports.push((input, vec![id])),
+            }
+        }
         self.cells.push(cell);
-        self.cells.len() - 1
+        id
     }
 
     /// The cells in insertion (topological) order.
@@ -130,32 +147,28 @@ impl CellGraph {
 
     /// Ids of cells that read the raw segment directly — the paper's
     /// "grouped" cells.
-    pub fn raw_consumers(&self) -> Vec<CellId> {
+    pub fn raw_consumers(&self) -> &[CellId] {
         self.consumers_of(PortRef::RAW)
     }
 
-    /// Ids of cells consuming a given port.
-    pub fn consumers_of(&self, port: PortRef) -> Vec<CellId> {
-        self.cells
+    /// Ids of cells consuming a given port, ascending.
+    pub fn consumers_of(&self, port: PortRef) -> &[CellId] {
+        self.ports
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.inputs.contains(&port))
-            .map(|(i, _)| i)
-            .collect()
+            .find(|(p, _)| *p == port)
+            .map_or(&[][..], |(_, consumers)| consumers.as_slice())
     }
 
-    /// Every distinct producer port that has at least one consumer,
-    /// including [`PortRef::RAW`].
-    pub fn active_ports(&self) -> Vec<PortRef> {
-        let mut seen = Vec::new();
-        for cell in &self.cells {
-            for &input in &cell.inputs {
-                if !seen.contains(&input) {
-                    seen.push(input);
-                }
-            }
-        }
-        seen
+    /// Every distinct producer port that has at least one consumer
+    /// (including [`PortRef::RAW`]), in first-use order — the order cells
+    /// list their inputs in insertion order — each with its consumers in
+    /// ascending id order.
+    ///
+    /// The table is maintained incrementally by [`CellGraph::add_cell`],
+    /// so the s-t network builder and the per-segment profile walk read it
+    /// without rescanning the cells.
+    pub fn port_table(&self) -> &[(PortRef, Vec<CellId>)] {
+        &self.ports
     }
 
     /// Id of the final cell (by convention the score-fusion cell, added
@@ -214,11 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn active_ports_deduplicate() {
+    fn port_table_deduplicates() {
         let mut g = CellGraph::new(64);
         g.add_cell(feature_cell(FeatureKind::Max, vec![PortRef::RAW]));
-        g.add_cell(feature_cell(FeatureKind::Min, vec![PortRef::RAW]));
-        assert_eq!(g.active_ports(), vec![PortRef::RAW]);
+        g.add_cell(feature_cell(
+            FeatureKind::Min,
+            vec![PortRef::RAW, PortRef::RAW],
+        ));
+        assert_eq!(g.port_table(), [(PortRef::RAW, vec![0, 1])]);
+        assert!(g.consumers_of(PortRef::cell(0)).is_empty());
     }
 
     #[test]

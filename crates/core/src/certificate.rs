@@ -4,7 +4,8 @@
 //! trusts the Dinic solver's answer. This module removes that trust: every
 //! cut can carry a [`CutCertificate`] — the max-flow witness extracted from
 //! the solver — and [`check_cut_certificate`] re-verifies it from first
-//! principles against an *independently rebuilt* network:
+//! principles against an *independently re-derived* network (the
+//! instance's [`crate::stgraph`] template, priced at the certificate's λ):
 //!
 //! 1. the witness's edge list matches the re-derived network topology and
 //!    capacities edge by edge;
@@ -29,7 +30,7 @@
 use crate::instance::XProInstance;
 use crate::partition::Partition;
 use crate::profile::segment_profile;
-use crate::stgraph::build_network;
+use crate::stgraph::StTemplate;
 use xpro_graph::dinic::{CutWitness, NodeId};
 
 /// Relative tolerance for capacity, conservation, and weight comparisons.
@@ -207,7 +208,17 @@ pub fn check_cut_certificate(
     partition: &Partition,
     cert: &CutCertificate,
 ) -> Result<(), CertificateViolation> {
-    let n = instance.num_cells();
+    check_against(&StTemplate::new(instance), partition, cert)
+}
+
+/// [`check_cut_certificate`] against an already derived network template
+/// of the instance, so a λ sweep derives it once for all of its cuts.
+pub(crate) fn check_against(
+    template: &StTemplate,
+    partition: &Partition,
+    cert: &CutCertificate,
+) -> Result<(), CertificateViolation> {
+    let n = template.cell_node.len();
     if partition.in_sensor.len() != n || cert.cell_node.len() != n {
         return Err(CertificateViolation::StructureMismatch {
             detail: format!(
@@ -218,15 +229,14 @@ pub fn check_cut_certificate(
         });
     }
 
-    // Re-derive the network from the instance and λ; the witness must
-    // describe exactly this network.
-    let st = build_network(instance, cert.lambda_pj_per_s);
-    let reference = st.net.edges();
+    // Re-price the network from the instance's template and λ; the
+    // witness must describe exactly this network.
+    let reference: Vec<_> = template.listed_capacities(cert.lambda_pj_per_s).collect();
     let witness = &cert.witness;
-    if cert.source != st.source
-        || cert.sink != st.sink
-        || cert.cell_node != st.cell_node
-        || witness.source_side.len() != st.net.len()
+    if cert.source != template.source
+        || cert.sink != template.sink
+        || cert.cell_node != template.cell_node
+        || witness.source_side.len() != template.nodes
     {
         return Err(CertificateViolation::StructureMismatch {
             detail: "node bookkeeping disagrees with the rebuilt network".into(),
@@ -281,7 +291,7 @@ pub fn check_cut_certificate(
     }
 
     // Conservation at every interior node.
-    let mut balance = vec![0.0f64; st.net.len()];
+    let mut balance = vec![0.0f64; template.nodes];
     for e in &witness.edges {
         balance[e.from] -= e.flow;
         balance[e.to] += e.flow;

@@ -16,12 +16,12 @@
 //! meets the bound. The two single-end designs are always candidates, so a
 //! feasible solution always exists — the same guarantee the paper gives.
 
-use crate::certificate::{check_cut_certificate, verify_plan, CutCertificate};
+use crate::certificate::{check_against, verify_plan, CutCertificate};
 use crate::config::SystemConfig;
 use crate::error::XProError;
 use crate::instance::XProInstance;
 use crate::partition::{evaluate, Evaluation, Partition};
-use crate::stgraph::certified_min_cut_partition;
+use crate::stgraph::{certified_min_cut_partition, StTemplate};
 use xpro_hw::ModuleKind;
 use xpro_wireless::TransceiverModel;
 
@@ -230,11 +230,14 @@ impl<'a> XProGenerator<'a> {
             (Partition::all_sensor(n), None),
             (self.trivial_cut(), None),
         ];
+        // The network topology does not depend on λ: derive it once, then
+        // price, solve and certify it per λ.
+        let template = StTemplate::new(self.instance);
         let push_cut = |lambda: f64,
                         candidates: &mut Vec<(Partition, Option<CutCertificate>)>|
          -> Result<(), XProError> {
-            let (p, cert) = certified_min_cut_partition(self.instance, lambda);
-            check_cut_certificate(self.instance, &p, &cert)?;
+            let (p, cert) = template.min_cut(lambda);
+            check_against(&template, &p, &cert)?;
             if !candidates.iter().any(|(q, _)| *q == p) {
                 candidates.push((p, Some(cert)));
             }

@@ -27,9 +27,9 @@ pub struct XProInstance {
     /// graph under the same assumptions.
     bounds: SignalBounds,
     /// Per-cell approximation knobs the instance is priced (and analyzed)
-    /// under; empty for an exact instance. Part of the `Debug` rendering,
-    /// so plan-cache keys separate approximate from exact configurations
-    /// automatically.
+    /// under; empty for an exact instance. Hashed into
+    /// [`crate::plancache::PlanCache::key`], so approximate and exact
+    /// configurations never share a cache entry.
     approx: BTreeMap<usize, ApproxConfig>,
     sensor_costs: Vec<CellCost>,
     sensor_modes: Vec<AluMode>,
@@ -116,6 +116,27 @@ impl XProInstance {
             &AnalyzeOptions::default(),
             &approx,
         );
+        Ok(XProInstance::priced(
+            built,
+            config,
+            segment_len,
+            bounds,
+            approx,
+            analysis,
+        ))
+    }
+
+    /// Prices every cell of a validated graph under `config` and `approx`;
+    /// `analysis` must be the range analysis of the same graph, bounds and
+    /// assignment.
+    fn priced(
+        built: BuiltGraph,
+        config: SystemConfig,
+        segment_len: usize,
+        bounds: SignalBounds,
+        approx: BTreeMap<usize, ApproxConfig>,
+        analysis: AnalysisReport,
+    ) -> Self {
         let mut sensor_costs = Vec::with_capacity(built.graph.len());
         let mut sensor_modes = Vec::with_capacity(built.graph.len());
         let mut agg_energy_pj = Vec::with_capacity(built.graph.len());
@@ -131,7 +152,7 @@ impl XProInstance {
             agg_energy_pj.push(config.aggregator.energy_pj(&ops));
             agg_time_s.push(config.aggregator.time_s(&ops));
         }
-        Ok(XProInstance {
+        XProInstance {
             built,
             config,
             segment_len,
@@ -142,7 +163,7 @@ impl XProInstance {
             agg_energy_pj,
             agg_time_s,
             analysis,
-        })
+        }
     }
 
     /// Re-prices this instance's graph under a per-cell approximation
@@ -163,8 +184,13 @@ impl XProInstance {
     }
 
     /// Re-prices this instance's graph under a different system
-    /// configuration, keeping the workload (graph, segment length) and the
-    /// numeric-analysis input bounds.
+    /// configuration, keeping the workload (graph, segment length), the
+    /// numeric-analysis input bounds and the approximation assignment.
+    ///
+    /// The range analysis depends only on the graph, the bounds and the
+    /// assignment, never on the configuration, so it is reused rather than
+    /// re-run; only the per-cell prices are re-derived. The result equals
+    /// a fresh [`XProInstance::try_with_approx`] over the same inputs.
     ///
     /// This is the generator re-entry path of the adaptive controller: when
     /// runtime observation shows the wireless channel costing more (or
@@ -174,17 +200,18 @@ impl XProInstance {
     ///
     /// # Errors
     ///
-    /// Returns [`XProError::Config`] on the same conditions as
-    /// [`XProInstance::try_with_bounds`] (never for a config-only change of
-    /// an already-valid instance).
+    /// Never fails: the instance's inputs were validated when it was
+    /// built, and a configuration change cannot invalidate them. The
+    /// signature stays fallible so callers compose it with `?`.
     pub fn reconfigured(&self, config: SystemConfig) -> Result<Self, XProError> {
-        XProInstance::try_with_approx(
+        Ok(XProInstance::priced(
             self.built.clone(),
             config,
             self.segment_len,
             self.bounds,
             self.approx.clone(),
-        )
+            self.analysis.clone(),
+        ))
     }
 
     /// The per-cell approximation assignment this instance is priced

@@ -73,8 +73,8 @@ pub mod prelude;
 pub mod profile;
 pub mod report;
 pub mod stgraph;
-#[cfg(test)]
-pub(crate) mod testutil;
+#[doc(hidden)]
+pub mod testutil;
 
 pub use aggregator::AggregatorModel;
 pub use analysis::{analyze_graph, cell_specs};

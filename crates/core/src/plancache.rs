@@ -6,8 +6,9 @@
 //! handful of distinct `(pipeline, tech node, radio, deadline)`
 //! configurations. [`PlanCache`] collapses those invocations to
 //! once-per-distinct-config: plans are memoized in a sharded map keyed
-//! by a canonical digest of the instance (cell graph, system config,
-//! segment length) and the deadline, and **every hit is re-verified by
+//! by a canonical digest of the instance's inputs (cell graph, system
+//! config, signal bounds, approximation assignment, segment length) and
+//! the deadline, and **every hit is re-verified by
 //! the independent min-cut certificate checker before it is handed
 //! out** ([`verify_plan`]). A stale or corrupted entry can therefore
 //! never ship an unsound plan: verification failure evicts the entry
@@ -67,15 +68,30 @@ impl PlanCacheStats {
     }
 }
 
-/// 64-bit FNV-1a over a byte string: fixed, process-independent shard
-/// selection (the `std` hasher is randomized per process).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit FNV-1a: fixed, process-independent keys and shard selection
+/// (the `std` hasher is randomized per process). It is a
+/// [`std::fmt::Write`] sink, so a `Debug` rendering is hashed as it is
+/// produced, without building the string.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Sharded, certificate-guarded memoization of
@@ -121,19 +137,36 @@ impl PlanCache {
     }
 
     /// Canonical cache key for `(instance, deadline)`: an FNV-1a digest
-    /// of the instance's full debug rendering (cell graph, system
-    /// config — cost model, tech node, radio, aggregator, batteries,
-    /// sampling rate — signal bounds and analysis verdicts) plus the
-    /// exact bit pattern of the deadline. Two instances with any
-    /// observable difference produce different digests; and because
-    /// every hit is re-verified against the *presented* instance, even
-    /// a digest collision cannot yield an unsound plan.
+    /// of the debug rendering of the instance's *inputs* — the cells and
+    /// raw length of the graph, the system config (cost model, tech node,
+    /// radio, aggregator, batteries, sampling rate), the signal bounds and
+    /// the approximation assignment — plus the segment length and the
+    /// exact bit pattern of the deadline.
+    ///
+    /// The per-cell prices and the range analysis are not hashed: they
+    /// are functions of those inputs, so two instances that agree on every
+    /// input price and analyze identically, and one that differs in any
+    /// input gets a different digest. Because every hit is re-verified
+    /// against the *presented* instance, even a digest collision cannot
+    /// yield an unsound plan.
     #[must_use]
     pub fn key(instance: &XProInstance, t_limit_s: f64) -> String {
-        let rendered = format!("{instance:?}");
+        use std::fmt::Write as _;
+        let graph = &instance.built().graph;
+        let mut hash = Fnv1a::new();
+        write!(
+            hash,
+            "{:?}{}{:?}{:?}{:?}",
+            graph.cells(),
+            graph.raw_samples(),
+            instance.config(),
+            instance.bounds(),
+            instance.approx(),
+        )
+        .expect("hashing a rendering cannot fail");
         format!(
             "{:016x}:{:016x}:{}c{}s",
-            fnv1a(rendered.as_bytes()),
+            hash.0,
             t_limit_s.to_bits(),
             instance.num_cells(),
             instance.segment_len(),
@@ -141,7 +174,9 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &str) -> usize {
-        (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize
+        let mut hash = Fnv1a::new();
+        hash.bytes(key.as_bytes());
+        (hash.0 % self.shards.len() as u64) as usize
     }
 
     /// Returns the delay-constrained certified plan for `instance`,

@@ -50,7 +50,7 @@ pub struct SegmentProfile {
     pub sensor_compute_pj: f64,
     /// In-aggregator compute energy per segment, in picojoules.
     pub agg_compute_pj: f64,
-    /// Every cross-end transfer of the segment, in `active_ports` order
+    /// Every cross-end transfer of the segment, in port-table order
     /// with the result frame (when the classifier output is produced on
     /// the sensor) last.
     pub frames: Vec<FrameProfile>,
@@ -132,11 +132,10 @@ pub fn segment_profile(instance: &XProInstance, partition: &Partition) -> Segmen
             agg_pj,
         });
     };
-    for port in graph.active_ports() {
+    for (port, consumers) in graph.port_table() {
         // Raw data originates at the sensor.
         let producer_sensor = port.producer.is_none_or(|c| partition.in_sensor[c]);
-        let any_cross = graph
-            .consumers_of(port)
+        let any_cross = consumers
             .iter()
             .any(|&c| partition.in_sensor[c] != producer_sensor);
         if !any_cross {
@@ -145,7 +144,7 @@ pub fn segment_profile(instance: &XProInstance, partition: &Partition) -> Segmen
         let samples = match port.producer {
             // The raw upload carries the true (unpadded) segment.
             None => instance.segment_len() as u64,
-            Some(_) => graph.port_samples(port),
+            Some(_) => graph.port_samples(*port),
         };
         push(samples, producer_sensor);
     }

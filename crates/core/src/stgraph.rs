@@ -22,8 +22,11 @@
 //!
 //! Because `λ`-scaled delay contributions can be folded into the same edge
 //! weights, the identical construction serves the delay-constrained
-//! generator (§3.2.3) via a Lagrangian sweep.
+//! generator (§3.2.3) via a Lagrangian sweep. Only the weights depend on
+//! λ, so the sweep derives the topology and each edge's energy and delay
+//! once (`StTemplate`) and prices it per λ.
 
+use crate::cellgraph::CellId;
 use crate::certificate::CutCertificate;
 use crate::instance::XProInstance;
 use crate::layout::BITS_PER_SAMPLE;
@@ -43,6 +46,201 @@ pub struct StNetwork {
     pub sink: NodeId,
     /// `cell_node[c]` is the network node of functional cell `c`.
     pub cell_node: Vec<NodeId>,
+}
+
+/// One edge of an [`StTemplate`]: its endpoints and the two λ-independent
+/// parts of its weight. An unbounded edge carries `energy_pj == INF`.
+#[derive(Clone, Copy, Debug)]
+struct TemplateEdge {
+    from: NodeId,
+    to: NodeId,
+    energy_pj: f64,
+    delay_s: f64,
+}
+
+impl TemplateEdge {
+    /// The edge weight `energy + λ·delay`; unbounded edges stay exactly
+    /// [`INF`] for every λ.
+    fn capacity(&self, lambda_pj_per_s: f64) -> f64 {
+        if self.energy_pj.is_infinite() {
+            INF
+        } else {
+            self.energy_pj + lambda_pj_per_s * self.delay_s
+        }
+    }
+}
+
+/// The λ-independent part of an instance's s-t network: node ids and
+/// edges in construction order, each edge with its energy and delay
+/// contribution kept apart. A Lagrangian sweep derives it once and prices
+/// it per λ ([`StTemplate::network`]); the certificate checker compares a
+/// witness against the same prices ([`StTemplate::listed_capacities`]).
+#[derive(Clone, Debug)]
+pub(crate) struct StTemplate {
+    /// Number of network nodes.
+    pub(crate) nodes: usize,
+    /// The source node `F`.
+    pub(crate) source: NodeId,
+    /// The sink node `B`.
+    pub(crate) sink: NodeId,
+    /// `cell_node[c]` is the network node of functional cell `c`.
+    pub(crate) cell_node: Vec<NodeId>,
+    /// Edges in insertion order, which fixes the solver's adjacency order.
+    edges: Vec<TemplateEdge>,
+    /// Edge indices in the order [`FlowNetwork::edges`] and the max-flow
+    /// witness list them: grouped by tail node, insertion order within.
+    listing: Vec<usize>,
+}
+
+impl StTemplate {
+    /// Derives the §3.2.2 network topology (with Fig. 7's dummy node and
+    /// TX/RX gadgets) and the energy and delay part of every edge weight.
+    ///
+    /// The construction is deterministic: nodes and edges are emitted in
+    /// graph order, so two templates of the same instance are identical.
+    pub(crate) fn new(instance: &XProInstance) -> Self {
+        let graph = &instance.built().graph;
+        let radio = &instance.config().radio;
+        let n = instance.num_cells();
+        let (source, sink) = (0, 1);
+        let cell = |c: CellId| 2 + c;
+        let mut template = StTemplate {
+            nodes: 2 + n,
+            source,
+            sink,
+            cell_node: (0..n).map(cell).collect(),
+            edges: Vec::new(),
+            listing: Vec::new(),
+        };
+
+        let frame = |samples: u64, tx: bool| -> (f64, f64) {
+            let frame = Frame::for_samples(samples, BITS_PER_SAMPLE);
+            let energy = if tx {
+                radio.tx_frame_pj(frame)
+            } else {
+                radio.rx_frame_pj(frame)
+            };
+            (energy, radio.frame_airtime_s(frame))
+        };
+        let unbounded = (INF, 0.0);
+
+        // Compute edges: cell → B.
+        for c in 0..n {
+            let weight = (instance.sensor_cost(c).energy_pj, instance.sensor_time_s(c));
+            template.edge(cell(c), sink, weight);
+        }
+
+        // Port gadgets.
+        for (port, consumers) in graph.port_table() {
+            match port.producer {
+                None => {
+                    // The paper's dummy node D for the raw segment.
+                    let d = template.node();
+                    template.edge(source, d, frame(instance.segment_len() as u64, true));
+                    for &c in consumers {
+                        template.edge(d, cell(c), unbounded);
+                    }
+                }
+                Some(u) => {
+                    let samples = graph.port_samples(*port);
+                    // TX gadget: u → t (tx energy), t → consumers (∞).
+                    let t = template.node();
+                    template.edge(cell(u), t, frame(samples, true));
+                    for &c in consumers {
+                        template.edge(t, cell(c), unbounded);
+                    }
+                    // RX gadget: consumers → r (∞), r → u (rx energy).
+                    let r = template.node();
+                    for &c in consumers {
+                        template.edge(cell(c), r, unbounded);
+                    }
+                    template.edge(r, cell(u), frame(samples, false));
+                }
+            }
+        }
+
+        // Result delivery: fusion → t_res (tx of one value), t_res → B (∞).
+        let t_res = template.node();
+        template.edge(cell(graph.result_cell()), t_res, frame(1, true));
+        template.edge(t_res, sink, unbounded);
+
+        let mut listing: Vec<usize> = (0..template.edges.len()).collect();
+        listing.sort_by_key(|&i| template.edges[i].from);
+        template.listing = listing;
+        template
+    }
+
+    fn node(&mut self) -> NodeId {
+        self.nodes += 1;
+        self.nodes - 1
+    }
+
+    fn edge(&mut self, from: NodeId, to: NodeId, (energy_pj, delay_s): (f64, f64)) {
+        self.edges.push(TemplateEdge {
+            from,
+            to,
+            energy_pj,
+            delay_s,
+        });
+    }
+
+    /// The network priced under the Lagrangian delay price λ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda_pj_per_s` is negative.
+    pub(crate) fn network(&self, lambda_pj_per_s: f64) -> StNetwork {
+        assert!(lambda_pj_per_s >= 0.0, "lambda must be non-negative");
+        let mut net = FlowNetwork::new();
+        net.add_nodes(self.nodes);
+        for e in &self.edges {
+            net.add_edge(e.from, e.to, e.capacity(lambda_pj_per_s));
+        }
+        StNetwork {
+            net,
+            source: self.source,
+            sink: self.sink,
+            cell_node: self.cell_node.clone(),
+        }
+    }
+
+    /// `(from, to, capacity)` of every edge under λ, in the order
+    /// [`FlowNetwork::edges`] lists the priced network's edges.
+    pub(crate) fn listed_capacities(
+        &self,
+        lambda_pj_per_s: f64,
+    ) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+        self.listing.iter().map(move |&i| {
+            let e = &self.edges[i];
+            (e.from, e.to, e.capacity(lambda_pj_per_s))
+        })
+    }
+
+    /// Solves the min cut under λ and returns the induced partition with
+    /// its [`CutCertificate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda_pj_per_s` is negative.
+    pub(crate) fn min_cut(&self, lambda_pj_per_s: f64) -> (Partition, CutCertificate) {
+        let st = self.network(lambda_pj_per_s);
+        let witness = st.net.min_cut_with_witness(st.source, st.sink);
+        let partition = Partition {
+            in_sensor: st
+                .cell_node
+                .iter()
+                .map(|&nid| witness.source_side[nid])
+                .collect(),
+        };
+        let certificate = CutCertificate {
+            witness,
+            source: st.source,
+            sink: st.sink,
+            cell_node: st.cell_node,
+            lambda_pj_per_s,
+        };
+        (partition, certificate)
+    }
 }
 
 /// Builds the s-t network for an instance and extracts the min-cut
@@ -72,23 +270,7 @@ pub fn certified_min_cut_partition(
     instance: &XProInstance,
     lambda_pj_per_s: f64,
 ) -> (Partition, CutCertificate) {
-    let st = build_network(instance, lambda_pj_per_s);
-    let witness = st.net.clone().min_cut_with_witness(st.source, st.sink);
-    let partition = Partition {
-        in_sensor: st
-            .cell_node
-            .iter()
-            .map(|&nid| witness.source_side[nid])
-            .collect(),
-    };
-    let certificate = CutCertificate {
-        witness,
-        source: st.source,
-        sink: st.sink,
-        cell_node: st.cell_node,
-        lambda_pj_per_s,
-    };
-    (partition, certificate)
+    StTemplate::new(instance).min_cut(lambda_pj_per_s)
 }
 
 /// Constructs the §3.2.2 s-t network (with Fig. 7's dummy node and
@@ -103,75 +285,7 @@ pub fn certified_min_cut_partition(
 ///
 /// Panics if `lambda_pj_per_s` is negative.
 pub fn build_network(instance: &XProInstance, lambda_pj_per_s: f64) -> StNetwork {
-    assert!(lambda_pj_per_s >= 0.0, "lambda must be non-negative");
-    let graph = &instance.built().graph;
-    let radio = &instance.config().radio;
-    let n = instance.num_cells();
-
-    let mut net = FlowNetwork::new();
-    let f = net.add_node();
-    let b = net.add_node();
-    let cell_node: Vec<usize> = (0..n).map(|_| net.add_node()).collect();
-
-    let frame_weight = |samples: u64, tx: bool| -> f64 {
-        let frame = Frame::for_samples(samples, BITS_PER_SAMPLE);
-        let energy = if tx {
-            radio.tx_frame_pj(frame)
-        } else {
-            radio.rx_frame_pj(frame)
-        };
-        energy + lambda_pj_per_s * radio.frame_airtime_s(frame)
-    };
-
-    // Compute edges: cell → B.
-    for (c, &node) in cell_node.iter().enumerate() {
-        let weight =
-            instance.sensor_cost(c).energy_pj + lambda_pj_per_s * instance.sensor_time_s(c);
-        net.add_edge(node, b, weight);
-    }
-
-    // Port gadgets.
-    for port in graph.active_ports() {
-        let consumers = graph.consumers_of(port);
-        match port.producer {
-            None => {
-                // The paper's dummy node D for the raw segment.
-                let d = net.add_node();
-                net.add_edge(f, d, frame_weight(instance.segment_len() as u64, true));
-                for &c in &consumers {
-                    net.add_edge(d, cell_node[c], INF);
-                }
-            }
-            Some(u) => {
-                let samples = graph.port_samples(port);
-                // TX gadget: u → t (tx energy), t → consumers (∞).
-                let t = net.add_node();
-                net.add_edge(cell_node[u], t, frame_weight(samples, true));
-                for &c in &consumers {
-                    net.add_edge(t, cell_node[c], INF);
-                }
-                // RX gadget: consumers → r (∞), r → u (rx energy).
-                let r = net.add_node();
-                for &c in &consumers {
-                    net.add_edge(cell_node[c], r, INF);
-                }
-                net.add_edge(r, cell_node[u], frame_weight(samples, false));
-            }
-        }
-    }
-
-    // Result delivery: fusion → t_res (tx of one value), t_res → B (∞).
-    let result = graph.result_cell();
-    let t_res = net.add_node();
-    net.add_edge(cell_node[result], t_res, frame_weight(1, true));
-    net.add_edge(t_res, b, INF);
-
-    StNetwork {
-        net,
-        source: f,
-        sink: b,
-        cell_node,
-    }
+    StTemplate::new(instance).network(lambda_pj_per_s)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Hand-built small instances for unit tests (kept out of the public API).
+//! Hand-built small instances for tests (hidden from the documented API;
+//! the workspace's integration tests share them).
 
 use crate::builder::BuiltGraph;
 use crate::cellgraph::{Cell, CellGraph, PortRef};
@@ -13,7 +14,7 @@ use xpro_signal::stats::FeatureKind;
 /// one DWT level with one sub-band feature, two SVM bases and fusion. The
 /// seed perturbs SVM sizes so different seeds produce different optimal
 /// cuts.
-pub(crate) fn tiny_instance(seed: u64) -> XProInstance {
+pub fn tiny_instance(seed: u64) -> XProInstance {
     let mut graph = CellGraph::new(128);
     let feature = |kind: FeatureKind, domain: Domain, inputs: Vec<PortRef>| Cell {
         module: ModuleKind::Feature {

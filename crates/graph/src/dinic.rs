@@ -159,11 +159,15 @@ impl FlowNetwork {
         let mut flow = 0.0f64;
         // Numerical floor: capacities below this are considered exhausted.
         const EPS: f64 = 1e-9;
+        // Per-phase scratch, allocated once and reset at each phase.
+        let mut level = vec![usize::MAX; n];
+        let mut it = vec![0usize; n];
+        let mut queue = std::collections::VecDeque::with_capacity(n);
         loop {
             // BFS level graph.
-            let mut level = vec![usize::MAX; n];
+            level.fill(usize::MAX);
             level[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
+            queue.push_back(s);
             while let Some(u) = queue.pop_front() {
                 for e in &self.adj[u] {
                     if e.cap > EPS && level[e.to] == usize::MAX {
@@ -176,7 +180,7 @@ impl FlowNetwork {
                 break;
             }
             // DFS blocking flow.
-            let mut it = vec![0usize; n];
+            it.fill(0);
             loop {
                 let pushed = self.dfs(s, t, INF, &level, &mut it);
                 if pushed <= EPS {

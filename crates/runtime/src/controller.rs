@@ -42,10 +42,9 @@
 use crate::config::RuntimeConfig;
 use xpro_core::generator::XProGenerator;
 use xpro_core::instance::XProInstance;
-use xpro_core::layout::BITS_PER_SAMPLE;
 use xpro_core::partition::Partition;
-use xpro_core::{verify_plan, PlanCache, PlanCacheStats};
-use xpro_wireless::{EffectiveEnergyEstimator, Frame, TransferSample};
+use xpro_core::{segment_profile, verify_plan, PlanCache, PlanCacheStats};
+use xpro_wireless::{EffectiveEnergyEstimator, TransferSample};
 
 /// Degradation tier the fleet is operating in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,10 +168,10 @@ impl Controller {
         } else {
             generator.trivial_cut()
         };
-        let radio = &instance.config().radio;
-        let fallback_airtime_s = fallback_frames(instance, &fallback)
-            .into_iter()
-            .map(|samples| radio.frame_airtime_s(Frame::for_samples(samples, BITS_PER_SAMPLE)))
+        let fallback_airtime_s = segment_profile(instance, &fallback)
+            .frames
+            .iter()
+            .map(|f| f.airtime_s)
             .fold(0.0f64, f64::max);
         Controller {
             estimator: EffectiveEnergyEstimator::new(cfg.adaptive_window),
@@ -309,33 +308,6 @@ impl Controller {
         self.times.add(self.tier, dt);
         (self.switches, self.times, self.audit, self.cache.stats())
     }
-}
-
-/// Sample counts of the cross-end frames of `partition` (the grouped-cells
-/// rule, same walk as the executor's segment plan).
-fn fallback_frames(instance: &XProInstance, partition: &Partition) -> Vec<u64> {
-    let graph = &instance.built().graph;
-    let mut frames = Vec::new();
-    for port in graph.active_ports() {
-        let producer_sensor = match port.producer {
-            None => true,
-            Some(c) => partition.in_sensor[c],
-        };
-        let any_cross = graph
-            .consumers_of(port)
-            .iter()
-            .any(|&c| partition.in_sensor[c] != producer_sensor);
-        if any_cross {
-            frames.push(match port.producer {
-                None => instance.segment_len() as u64,
-                Some(_) => graph.port_samples(port),
-            });
-        }
-    }
-    if partition.in_sensor[graph.result_cell()] {
-        frames.push(1);
-    }
-    frames
 }
 
 #[cfg(test)]

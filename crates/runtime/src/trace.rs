@@ -21,7 +21,7 @@
 //! much overlap the dataflow execution recovers. [`simulate_stream`] chains
 //! events to measure steady-state throughput and channel utilization. For
 //! fleet-scale streaming with loss, retries and batching, use
-//! [`crate::Executor`].
+//! [`crate::FleetExecutor`].
 
 use std::collections::BTreeMap;
 use xpro_core::instance::XProInstance;
