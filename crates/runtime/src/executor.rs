@@ -263,17 +263,12 @@ impl<'a> ExecutorBuilder<'a> {
     }
 }
 
-/// Everything one run produces: the merged report plus direct handles on
-/// its audit and metrics, and the execution detail of how it ran.
+/// Everything one run produces: the merged report and the execution
+/// detail of how it ran.
 #[derive(Clone, Debug)]
 pub struct RunHandle {
     /// The merged fleet report — shard-count-independent by construction.
     pub report: RunReport,
-    /// The controller's plan-certification audit (a copy of
-    /// `report.plan_audit`).
-    pub audit: PlanAudit,
-    /// The run's metric registry (a copy of `report.metrics`).
-    pub metrics: MetricsRegistry,
     /// Shard count the run actually used (resolved from
     /// [`ShardCount::Auto`]). An execution detail: deliberately *not*
     /// part of [`RunReport`], which must not depend on it.
@@ -553,7 +548,6 @@ impl AggPhase {
         cfg: &RuntimeConfig,
         outage: &OutageSchedule,
         tenancy: &mut Option<Tenancy>,
-        metrics: &mut MetricsRegistry,
     ) {
         debug_assert!(self.pending.windows(2).all(|w| w[0] < w[1]));
         let ready = self.pending.partition_point(|j| j.ready_s < horizon_s);
@@ -580,19 +574,16 @@ impl AggPhase {
                     match tn.admit(ti, now) {
                         Admission::Quarantined => {
                             self.quarantined[job.node as usize] += 1;
-                            metrics.inc("quarantine_dropped", 1);
                             continue;
                         }
                         Admission::QuotaRejected => {
                             self.admission_rejected[job.node as usize] += 1;
-                            metrics.inc("admission_rejected", 1);
                             continue;
                         }
                         Admission::Admit => {}
                     }
                     if !tn.inbox_admit(ti) {
                         self.overflowed[job.node as usize] += 1;
-                        metrics.inc("inbox_overflows", 1);
                         continue;
                     }
                     ti
@@ -600,7 +591,6 @@ impl AggPhase {
                 None => {
                     if self.inbox.len() >= cfg.agg_inbox {
                         self.overflowed[job.node as usize] += 1;
-                        metrics.inc("inbox_overflows", 1);
                         continue;
                     }
                     0
@@ -609,9 +599,6 @@ impl AggPhase {
             let plan = &plans[job.epoch as usize];
             let idle = now >= self.cpu_free_s;
             let wake = if idle {
-                if self.batch_len > 0 {
-                    metrics.observe("batch_size", self.batch_len as f64);
-                }
                 self.max_batch = self.max_batch.max(self.batch_len);
                 self.batches += 1;
                 self.batch_len = 1;
@@ -635,8 +622,6 @@ impl AggPhase {
             let latency = done - job.arrival_s;
             self.sketches[job.node as usize].record(latency);
             self.lat_sum[job.node as usize] += latency;
-            metrics.inc("segments_completed", 1);
-            metrics.observe("latency_s", latency);
         }
         self.pending.drain(..ready);
     }
@@ -776,7 +761,7 @@ impl FleetExecutor<'_> {
                 }
             }
             agg.merge_runs(&mut shards);
-            agg.process_ready(target, &plans, cfg, &outage, &mut tenancy, &mut metrics);
+            agg.process_ready(target, &plans, cfg, &outage, &mut tenancy);
             if let Some(rec) = recorder.as_mut() {
                 rec.fold_round(k - 1, &shards, &agg);
             }
@@ -788,7 +773,6 @@ impl FleetExecutor<'_> {
                 if let Some(p) = ctl.maybe_replan(t_k, instance) {
                     let plan = Arc::new(segment_profile(instance, &p));
                     plans.push(Arc::clone(&plan));
-                    metrics.inc("partition_switches", 1);
                     for sh in &mut shards {
                         sh.install_plan(Arc::clone(&plan));
                     }
@@ -817,9 +801,6 @@ impl FleetExecutor<'_> {
             k += 1;
         }
         agg.max_batch = agg.max_batch.max(agg.batch_len);
-        if agg.batch_len > 0 {
-            metrics.observe("batch_size", agg.batch_len as f64);
-        }
 
         if let Some(tn) = tenancy.as_mut() {
             tn.finish(cfg.duration_s);
@@ -836,30 +817,12 @@ impl FleetExecutor<'_> {
                 PlanCacheStats::default(),
             ),
         };
-        if plan_audit.certified > 0 {
-            metrics.inc("plans_certified", plan_audit.certified);
-        }
-        if plan_audit.rejected > 0 {
-            metrics.inc("plans_rejected", plan_audit.rejected);
-        }
-        if plan_cache.hits > 0 {
-            metrics.inc("plan_cache_hits", plan_cache.hits);
-        }
-        if plan_cache.misses > 0 {
-            metrics.inc("plan_cache_misses", plan_cache.misses);
-        }
-        if plan_cache.rejected > 0 {
-            metrics.inc("plan_cache_rejected", plan_cache.rejected);
-        }
-
         let telemetry_bytes: u64 = agg.sketches.iter().map(|s| s.mem_bytes() as u64).sum();
         let timesteps = recorder.map(TimestepRecorder::into_batch);
         let report = self.digest(
             &shards, &outage, metrics, agg, tenancy, switches, tier_times, plan_audit, plan_cache,
         );
         RunHandle {
-            audit: report.plan_audit,
-            metrics: report.metrics.clone(),
             report,
             shards: self.shards,
             timesteps,
@@ -969,11 +932,18 @@ impl FleetExecutor<'_> {
                 });
             }
         }
+        let completed = agg.completed.iter().sum();
+        let inbox_overflows = agg.overflowed.iter().sum();
+        let admission_rejected = agg.admission_rejected.iter().sum();
+        let quarantine_dropped = agg.quarantined.iter().sum();
         // Terminal counters merge by sum; a counter appears only when its
-        // event occurred, matching the incremental accounting of the
-        // unsharded executor.
+        // event occurred.
         for (name, value) in [
             ("segments_offered", offered),
+            ("segments_completed", completed),
+            ("inbox_overflows", inbox_overflows),
+            ("admission_rejected", admission_rejected),
+            ("quarantine_dropped", quarantine_dropped),
             ("segments_lost_to_crash", lost_to_crash),
             ("segments_shed", shed),
             ("segments_timed_out", timed_out),
@@ -983,6 +953,12 @@ impl FleetExecutor<'_> {
             ("retries", retries),
             ("battery_depletions", depletions),
             ("crashes", crashes_total),
+            ("partition_switches", switches.len() as u64),
+            ("plans_certified", plan_audit.certified),
+            ("plans_rejected", plan_audit.rejected),
+            ("plan_cache_hits", plan_cache.hits),
+            ("plan_cache_misses", plan_cache.misses),
+            ("plan_cache_rejected", plan_cache.rejected),
         ] {
             if value > 0 {
                 metrics.inc(name, value);
@@ -1053,12 +1029,6 @@ impl FleetExecutor<'_> {
         // serial CPU's compute spend (merged service order).
         let energy_pj = agg_rx_pj + agg.compute_pj;
         let agg_power_w = energy_pj * 1e-12 / duration;
-        let inbox_overflows = node_reports.iter().map(|n| n.segments_overflowed).sum();
-        let admission_rejected = node_reports
-            .iter()
-            .map(|n| n.segments_admission_rejected)
-            .sum();
-        let quarantine_dropped = node_reports.iter().map(|n| n.segments_quarantined).sum();
         let aggregator = AggregatorReport {
             batches: agg.batches,
             max_batch: agg.max_batch,
@@ -1185,9 +1155,8 @@ mod tests {
             .unwrap()
             .run();
         assert_eq!(handle.shards, 3);
-        assert_eq!(handle.audit, handle.report.plan_audit);
         assert_eq!(
-            handle.metrics.counter("segments_completed"),
+            handle.report.metrics.counter("segments_completed"),
             handle.report.total_completed()
         );
     }

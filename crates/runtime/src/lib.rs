@@ -34,8 +34,7 @@
 //!
 //! A run yields a [`RunReport`] — per-node throughput, p50/p95/p99
 //! latency, drop/retry counters, the energy split and a battery-life
-//! estimate — plus a [`MetricsRegistry`] of raw counters, gauges and
-//! histograms.
+//! estimate — plus a [`MetricsRegistry`] of raw counters and gauges.
 //!
 //! The single-event dataflow simulator that used to live in the retired
 //! `xpro-sim` crate is absorbed here as [`trace`].
@@ -122,7 +121,7 @@ pub use controller::{PartitionSwitch, PlanAudit, Tier, TierTimes};
 pub use executor::{ExecutorBuilder, FleetExecutor, FleetSpec, RunHandle, ShardCount};
 pub use lifecycle::{NodeLifecycle, OutageSchedule};
 pub use link::{BurstProfile, LossyLink};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use report::{AggregatorReport, LatencyStats, NodeReport, RunReport, TenantReport};
 pub use sketch::QuantileSketch;
 pub use soundness::{

@@ -1,127 +1,19 @@
-//! A lightweight metrics registry: named counters, gauges and log-bucketed
-//! histograms, with no external dependencies.
+//! A lightweight metrics registry: named counters and gauges, with no
+//! external dependencies.
 //!
-//! The executor records everything it observes here; [`crate::RunReport`]
+//! The executor fills it once, at digest time, from its per-node
+//! accumulators and its barrier-level decisions; [`crate::RunReport`]
 //! carries the registry so callers can inspect raw counters next to the
-//! digested per-node statistics.
+//! digested per-node statistics. Latency distributions live in the
+//! per-node quantile sketches ([`crate::QuantileSketch`]), not here.
 
 use std::collections::BTreeMap;
 
-/// Geometric bucket growth factor. 2^(1/4) gives four buckets per octave,
-/// i.e. ≤ ~9 % quantile error — plenty for latency reporting.
-const BUCKET_GROWTH: f64 = 1.189_207_115_002_721;
-/// Lower edge of the first bucket (100 ns for second-valued series; the
-/// histogram is unit-agnostic, this just anchors the geometric grid).
-const BUCKET_FLOOR: f64 = 1e-7;
-
-/// A log-bucketed histogram over non-negative samples.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Histogram {
-    /// `buckets[i]` counts samples in `[floor * g^(i-1), floor * g^i)`;
-    /// bucket 0 holds samples below [`BUCKET_FLOOR`].
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: 0.0,
-        }
-    }
-
-    fn bucket_index(value: f64) -> usize {
-        if value < BUCKET_FLOOR {
-            return 0;
-        }
-        ((value / BUCKET_FLOOR).ln() / BUCKET_GROWTH.ln()).floor() as usize + 1
-    }
-
-    /// Records one sample. Negative or non-finite samples are clamped to 0.
-    pub fn record(&mut self, value: f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
-        let idx = Self::bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`) from the bucket boundaries:
-    /// returns the geometric midpoint of the bucket holding the q-th
-    /// sample, clamped to the observed min/max.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let mid = if i == 0 {
-                    BUCKET_FLOOR / 2.0
-                } else {
-                    let lo = BUCKET_FLOOR * BUCKET_GROWTH.powi(i as i32 - 1);
-                    lo * BUCKET_GROWTH.sqrt()
-                };
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// Named counters, gauges and histograms.
+/// Named counters and gauges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -130,12 +22,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to a counter, creating it at zero first if needed.
-    ///
-    /// The executor calls this per completed segment, so the common path
-    /// must not allocate: the name is interned (one `String` allocation)
-    /// only the first time it is seen — every later call looks the
-    /// existing key up by `&str`.
+    /// Adds `by` to a counter, creating it at zero first if needed. The
+    /// name is interned (one `String` allocation) only the first time it
+    /// is seen — every later call looks the existing key up by `&str`.
     pub fn inc(&mut self, name: &str, by: u64) {
         if let Some(slot) = self.counters.get_mut(name) {
             *slot += by;
@@ -164,25 +53,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records one sample into a histogram, creating it if needed. The
-    /// per-observation path allocates no key `String` after the first
-    /// sample of a series — this sits on the executor's per-segment hot
-    /// path.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::new();
-            h.record(value);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// Reads a histogram (`None` when never observed).
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -191,11 +61,6 @@ impl MetricsRegistry {
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
@@ -219,43 +84,5 @@ mod tests {
         m.set_gauge("g", 1.5);
         m.set_gauge("g", -2.0);
         assert_eq!(m.gauge("g"), Some(-2.0));
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_the_samples() {
-        let mut h = Histogram::new();
-        for i in 1..=1000 {
-            h.record(i as f64 * 1e-3); // 1 ms .. 1 s
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        // Geometric buckets: within one growth factor of the true value.
-        assert!((0.4..0.62).contains(&p50), "p50 {p50}");
-        assert!((0.85..=1.0).contains(&p99), "p99 {p99}");
-        assert!(p50 <= p99);
-        assert!((h.mean() - 0.5005).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_handles_degenerate_input() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0.0);
-        h.record(f64::NAN);
-        h.record(-3.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 0.0);
-        assert_eq!(h.quantile(1.0), 0.0);
-    }
-
-    #[test]
-    fn registry_histograms_are_reachable() {
-        let mut m = MetricsRegistry::new();
-        m.observe("lat", 0.25);
-        m.observe("lat", 0.25);
-        let h = m.histogram("lat").expect("recorded");
-        assert_eq!(h.count(), 2);
-        assert!((h.quantile(0.5) - 0.25).abs() / 0.25 < 0.1);
-        assert_eq!(m.histograms().count(), 1);
     }
 }

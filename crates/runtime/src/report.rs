@@ -5,7 +5,7 @@
 use crate::controller::{PartitionSwitch, PlanAudit, TierTimes};
 use crate::metrics::MetricsRegistry;
 use crate::sketch::QuantileSketch;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 use xpro_core::PlanCacheStats;
 
 /// Latency percentiles over the completed segments of one node, digested
@@ -238,7 +238,7 @@ pub struct RunReport {
     /// rejected entries (failed re-verification, evicted and
     /// regenerated). All zero when the controller is off.
     pub plan_cache: PlanCacheStats,
-    /// Raw counters/gauges/histograms recorded during the run.
+    /// Raw counters and gauges of the run, derived at digest time.
     pub metrics: MetricsRegistry,
 }
 
@@ -260,10 +260,7 @@ impl RunReport {
     }
 
     /// Fleet-wide latency over every completed segment: the digest of
-    /// the merged per-node sketches. (Before the sketch existed this was
-    /// approximated from the coarse `latency_s` metrics histogram, with
-    /// up to ~9 % quantile error; the mergeable sketch pins it to
-    /// [`QuantileSketch::REL_ERROR`].)
+    /// the merged per-node sketches, within [`QuantileSketch::REL_ERROR`].
     pub fn fleet_latency(&self) -> LatencyStats {
         self.fleet
     }
@@ -414,156 +411,201 @@ impl RunReport {
     }
 
     /// The report as a JSON object (hand-rolled; the workspace carries no
-    /// serialization dependency).
+    /// serialization dependency). Written straight into one buffer sized
+    /// for the node records, which dominate large fleets.
     pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let fleet = self.fleet_latency();
-        let latency_json = |l: &LatencyStats| -> String {
-            format!(
-                "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
-                l.count,
-                num(l.mean_s),
-                num(l.p50_s),
-                num(l.p95_s),
-                num(l.p99_s),
-                num(l.max_s)
-            )
-        };
-        let nodes: Vec<String> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                format!(
-                    "{{\"node\":{},\"offered\":{},\"completed\":{},\"dropped\":{},\
-                     \"timed_out\":{},\"lost_to_crash\":{},\"shed\":{},\"overflowed\":{},\
-                     \"admission_rejected\":{},\"quarantined\":{},\
-                     \"crashes\":{},\"battery_depleted\":{},\
-                     \"frame_attempts\":{},\"frame_drops\":{},\"retries\":{},\
-                     \"throughput_hz\":{},\"latency\":{},\"compute_pj\":{},\"wireless_pj\":{},\
-                     \"battery_hours\":{},\"battery_drawdown\":{}}}",
-                    n.node,
-                    n.segments_offered,
-                    n.segments_completed,
-                    n.segments_dropped,
-                    n.segments_timed_out,
-                    n.segments_lost_to_crash,
-                    n.segments_shed,
-                    n.segments_overflowed,
-                    n.segments_admission_rejected,
-                    n.segments_quarantined,
-                    n.crashes,
-                    n.battery_depleted,
-                    n.frame_attempts,
-                    n.frame_drops,
-                    n.retries,
-                    num(n.throughput_hz),
-                    latency_json(&n.latency),
-                    num(n.compute_pj),
-                    num(n.wireless_pj),
-                    num(n.battery_hours),
-                    num(n.battery_drawdown),
-                )
-            })
-            .collect();
-        let tier_times_json = |t: &TierTimes| -> String {
-            format!(
-                "{{\"normal_s\":{},\"classify_only_s\":{},\"shed_s\":{}}}",
-                num(t.normal_s),
-                num(t.classify_only_s),
-                num(t.shed_s)
-            )
-        };
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"name\":{:?},\"first_node\":{},\"nodes\":{},\"offered\":{},\
-                     \"admitted\":{},\"completed\":{},\"admission_rejected\":{},\
-                     \"inbox_overflow\":{},\"quarantine_dropped\":{},\"quarantines\":{},\
-                     \"reserved_inbox\":{},\"peak_inbox\":{},\"delivery_rate\":{},\
-                     \"latency\":{},\"tier_times\":{}}}",
-                    t.name,
-                    t.first_node,
-                    t.nodes,
-                    t.segments_offered,
-                    t.admitted,
-                    t.completed,
-                    t.admission_rejected,
-                    t.inbox_overflow,
-                    t.quarantine_dropped,
-                    t.quarantines,
-                    t.reserved_inbox,
-                    t.peak_inbox,
-                    num(t.delivery_rate),
-                    latency_json(&t.latency),
-                    tier_times_json(&t.tier_times),
-                )
-            })
-            .collect();
-        let switches: Vec<String> = self
-            .partition_switches
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"time_s\":{},\"tier\":\"{}\",\"sensor_cells\":{},\"factor\":{}}}",
-                    num(s.time_s),
-                    s.tier.as_str(),
-                    s.sensor_cells,
-                    num(s.factor),
-                )
-            })
-            .collect();
-        format!(
+        // Node records run ~560 bytes each.
+        let mut out =
+            String::with_capacity(1024 + 640 * self.nodes.len() + 512 * self.tenants.len());
+        // Writing into a `String` cannot fail.
+        let _ = self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
             "{{\"duration_s\":{},\"completed\":{},\"lost\":{},\"retries\":{},\
              \"latency\":{},\"channel_utilization\":{},\"channel_bad_s\":{},\
-             \"partition_switches\":[{}],\
-             \"tier_times\":{{\"normal_s\":{},\"classify_only_s\":{},\"shed_s\":{}}},\
+             \"partition_switches\":[",
+            num(self.duration_s),
+            self.total_completed(),
+            self.total_lost(),
+            self.total_retries(),
+            latency_json(&self.fleet_latency()),
+            num(self.channel_utilization),
+            num(self.channel_bad_s),
+        )?;
+        for (i, s) in self.partition_switches.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(
+                out,
+                "{{\"time_s\":{},\"tier\":\"{}\",\"sensor_cells\":{},\"factor\":{}}}",
+                num(s.time_s),
+                s.tier.as_str(),
+                s.sensor_cells,
+                num(s.factor),
+            )?;
+        }
+        let agg = &self.aggregator;
+        write!(
+            out,
+            "],\"tier_times\":{},\
              \"plan_audit\":{{\"certified\":{},\"rejected\":{}}},\
              \"plan_cache\":{{\"hits\":{},\"misses\":{},\"rejected\":{}}},\
              \"aggregator\":{{\"batches\":{},\"max_batch\":{},\"peak_inbox\":{},\"busy_s\":{},\
              \"utilization\":{},\"energy_pj\":{},\"battery_hours\":{},\
              \"outage_s\":{},\"inbox_overflows\":{},\
              \"admission_rejected\":{},\"quarantine_dropped\":{}}},\
-             \"tenants\":[{}],\
-             \"nodes\":[{}]}}",
-            num(self.duration_s),
-            self.total_completed(),
-            self.total_lost(),
-            self.total_retries(),
-            latency_json(&fleet),
-            num(self.channel_utilization),
-            num(self.channel_bad_s),
-            switches.join(","),
-            num(self.tier_times.normal_s),
-            num(self.tier_times.classify_only_s),
-            num(self.tier_times.shed_s),
+             \"tenants\":[",
+            tier_times_json(&self.tier_times),
             self.plan_audit.certified,
             self.plan_audit.rejected,
             self.plan_cache.hits,
             self.plan_cache.misses,
             self.plan_cache.rejected,
-            self.aggregator.batches,
-            self.aggregator.max_batch,
-            self.aggregator.peak_inbox,
-            num(self.aggregator.busy_s),
-            num(self.aggregator.utilization),
-            num(self.aggregator.energy_pj),
-            num(self.aggregator.battery_hours),
-            num(self.aggregator.outage_s),
-            self.aggregator.inbox_overflows,
-            self.aggregator.admission_rejected,
-            self.aggregator.quarantine_dropped,
-            tenants.join(","),
-            nodes.join(",")
-        )
+            agg.batches,
+            agg.max_batch,
+            agg.peak_inbox,
+            num(agg.busy_s),
+            num(agg.utilization),
+            num(agg.energy_pj),
+            num(agg.battery_hours),
+            num(agg.outage_s),
+            agg.inbox_overflows,
+            agg.admission_rejected,
+            agg.quarantine_dropped,
+        )?;
+        for (i, t) in self.tenants.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(
+                out,
+                "{{\"name\":{},\"first_node\":{},\"nodes\":{},\"offered\":{},\
+                 \"admitted\":{},\"completed\":{},\"admission_rejected\":{},\
+                 \"inbox_overflow\":{},\"quarantine_dropped\":{},\"quarantines\":{},\
+                 \"reserved_inbox\":{},\"peak_inbox\":{},\"delivery_rate\":{},\
+                 \"latency\":{},\"tier_times\":{}}}",
+                json_str(&t.name),
+                t.first_node,
+                t.nodes,
+                t.segments_offered,
+                t.admitted,
+                t.completed,
+                t.admission_rejected,
+                t.inbox_overflow,
+                t.quarantine_dropped,
+                t.quarantines,
+                t.reserved_inbox,
+                t.peak_inbox,
+                num(t.delivery_rate),
+                latency_json(&t.latency),
+                tier_times_json(&t.tier_times),
+            )?;
+        }
+        out.push_str("],\"nodes\":[");
+        for (i, n) in self.nodes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(
+                out,
+                "{{\"node\":{},\"offered\":{},\"completed\":{},\"dropped\":{},\
+                 \"timed_out\":{},\"lost_to_crash\":{},\"shed\":{},\"overflowed\":{},\
+                 \"admission_rejected\":{},\"quarantined\":{},\
+                 \"crashes\":{},\"battery_depleted\":{},\
+                 \"frame_attempts\":{},\"frame_drops\":{},\"retries\":{},\
+                 \"throughput_hz\":{},\"latency\":{},\"compute_pj\":{},\"wireless_pj\":{},\
+                 \"battery_hours\":{},\"battery_drawdown\":{}}}",
+                n.node,
+                n.segments_offered,
+                n.segments_completed,
+                n.segments_dropped,
+                n.segments_timed_out,
+                n.segments_lost_to_crash,
+                n.segments_shed,
+                n.segments_overflowed,
+                n.segments_admission_rejected,
+                n.segments_quarantined,
+                n.crashes,
+                n.battery_depleted,
+                n.frame_attempts,
+                n.frame_drops,
+                n.retries,
+                num(n.throughput_hz),
+                latency_json(&n.latency),
+                num(n.compute_pj),
+                num(n.wireless_pj),
+                num(n.battery_hours),
+                num(n.battery_drawdown),
+            )?;
+        }
+        out.push_str("]}");
+        Ok(())
     }
+}
+
+/// A JSON number: `f64`'s shortest round-trip `Display` form, or `null`
+/// for NaN and infinities (which JSON cannot represent).
+fn num(x: f64) -> impl Display {
+    fmt::from_fn(move |f| {
+        if x.is_finite() {
+            write!(f, "{x}")
+        } else {
+            f.write_str("null")
+        }
+    })
+}
+
+fn latency_json(l: &LatencyStats) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        write!(
+            f,
+            "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
+            l.count,
+            num(l.mean_s),
+            num(l.p50_s),
+            num(l.p95_s),
+            num(l.p99_s),
+            num(l.max_s)
+        )
+    })
+}
+
+fn tier_times_json(t: &TierTimes) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        write!(
+            f,
+            "{{\"normal_s\":{},\"classify_only_s\":{},\"shed_s\":{}}}",
+            num(t.normal_s),
+            num(t.classify_only_s),
+            num(t.shed_s)
+        )
+    })
+}
+
+/// A JSON string literal (RFC 8259 §7): quotation mark, reverse solidus
+/// and control characters are escaped, everything else is written as raw
+/// UTF-8.
+fn json_str(s: &str) -> impl Display + '_ {
+    fmt::from_fn(move |f| {
+        f.write_char('"')?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    })
 }
 
 #[cfg(test)]
@@ -614,6 +656,25 @@ mod tests {
         let s = LatencyStats::from_samples(vec![f64::INFINITY, 5.0, f64::NEG_INFINITY]);
         assert_eq!(s.count, 1);
         assert_eq!(s.max_s, 5.0);
+    }
+
+    #[test]
+    fn tenant_names_are_valid_json_strings() {
+        // Rust's `Debug` would write `\u{7}` and `\u{200b}`, neither of
+        // which is a JSON escape.
+        assert_eq!(json_str("a\u{7}b").to_string(), "\"a\\u0007b\"");
+        assert_eq!(json_str("z\u{200b}w").to_string(), "\"z\u{200b}w\"");
+        assert_eq!(
+            json_str("q\"b\\s\n\u{1f}").to_string(),
+            r#""q\"b\\s\n\u001f""#
+        );
+        for name in ["health", "fitness", "tenant-7 (EU)", "it's"] {
+            assert_eq!(
+                json_str(name).to_string(),
+                format!("{name:?}"),
+                "ASCII names are unchanged"
+            );
+        }
     }
 
     #[test]

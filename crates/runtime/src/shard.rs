@@ -22,17 +22,23 @@
 //! * every floating-point accumulator is per-node; cross-node sums are
 //!   folded by the executor in global node order at digest time.
 //!
-//! The wheel replaces the old global heap's per-event allocations with a
-//! slab of pooled frame payloads: heap entries are 24-byte plain keys, and
-//! arrivals are generated lazily (each arrival schedules the node's next
-//! one), so memory is proportional to in-flight work, not to
-//! `nodes x duration`.
+//! The wheel is a monotone radix heap over a slab of pooled frame
+//! payloads. Its entries are 24-byte packed keys `(time bits, node, nseq)`,
+//! one `u128` in total order, and arrivals are generated lazily (each
+//! arrival schedules the node's next one), so memory is proportional to
+//! in-flight work, not to `nodes x duration`.
+//!
+//! A radix heap needs every push to be above the last key popped. Every
+//! push here happens while processing a popped event of the same node at
+//! time `t`: an arrival schedules the next at `t + period`; a frame goes
+//! out when the front end is done or the channel frees (`finish_s`), never
+//! before `t`; a retry waits past `finish_s`; and an equal time carries
+//! the node's fresh, larger `nseq`. So pushes are strictly increasing
+//! over the last pop, and the pop order is exactly `(time, node, nseq)`.
 
 use crate::config::RuntimeConfig;
 use crate::lifecycle::NodeLifecycle;
 use crate::link::{BurstProfile, LossyLink};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use xpro_core::profile::SegmentProfile;
 
@@ -63,59 +69,79 @@ pub(crate) struct FramePayload {
 /// Sentinel slab slot marking an arrival event (which carries no payload).
 const ARRIVAL_SLOT: u32 = u32::MAX;
 
-/// One wheel entry: the ordering key plus a slab slot. 24 bytes, `Copy` —
-/// sifting moves no payloads and touches a fifth of the cache lines the
-/// old boxed-event heap did.
+/// One wheel entry: the ordering key `(time, node, per-node sequence)`
+/// in two words, plus a slab slot. 24 bytes, where one `u128` field would
+/// pad the entry to 32.
 #[derive(Clone, Copy, Debug)]
 struct WheelEntry {
-    time_s: f64,
-    node: u32,
-    /// Per-node push sequence; breaks same-node, same-time ties in causal
-    /// push order (deterministic for any shard count, because a node's
-    /// events are only ever pushed while processing that same node).
-    nseq: u32,
+    time_bits: u64,
+    /// `node << 32 | nseq`. The per-node push sequence breaks same-node,
+    /// same-time ties in causal push order (deterministic for any shard
+    /// count, because a node's events are only ever pushed while
+    /// processing that same node).
+    node_seq: u64,
     slot: u32,
 }
 
-impl PartialEq for WheelEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for WheelEntry {}
-impl PartialOrd for WheelEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WheelEntry {
-    // BinaryHeap is a max-heap: invert so the earliest entry pops first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time_s
-            .total_cmp(&self.time_s)
-            .then_with(|| other.node.cmp(&self.node))
-            .then_with(|| other.nseq.cmp(&self.nseq))
+impl WheelEntry {
+    /// The packed key. Event times are finite and non-negative, so their
+    /// bit patterns order exactly like the times themselves.
+    fn key(&self) -> u128 {
+        (u128::from(self.time_bits) << 64) | u128::from(self.node_seq)
     }
 }
 
-/// A shard's event wheel: a heap of plain keys over a slab of pooled
-/// frame payloads (free slots are recycled, never freed).
+/// A shard's event wheel: a monotone radix heap of packed keys over a
+/// slab of pooled frame payloads (free slots are recycled, never freed).
+///
+/// `buckets[b]` holds the entries whose key first differs from `last`, the
+/// latest key peeked, in bit `b`. A peek with no `top` empties the lowest
+/// non-empty bucket, makes its minimum `last` and `top`, and moves the rest
+/// into strictly lower buckets, so an entry moves at most 128 times and
+/// in practice a few. Buckets keep their capacity between rounds.
 #[derive(Debug, Default)]
 struct EventWheel {
-    heap: BinaryHeap<WheelEntry>,
+    /// The entry whose key is `last`, when not yet popped.
+    top: Option<WheelEntry>,
+    buckets: Vec<Vec<WheelEntry>>,
+    /// Bit `b` is set when `buckets[b]` is non-empty.
+    occupied: u128,
+    last: u128,
     slab: Vec<FramePayload>,
     free: Vec<u32>,
 }
 
 impl EventWheel {
+    fn insert(&mut self, entry: WheelEntry) {
+        let diff = entry.key() ^ self.last;
+        if diff == 0 {
+            self.top = Some(entry);
+            return;
+        }
+        let b = 127 - diff.leading_zeros() as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize_with(b + 1, Vec::new);
+        }
+        self.occupied |= 1 << b;
+        self.buckets[b].push(entry);
+    }
+
+    fn push(&mut self, time_s: f64, node: u32, nseq: u32, slot: u32) {
+        debug_assert!(time_s >= 0.0 && time_s.is_sign_positive(), "time {time_s}");
+        let entry = WheelEntry {
+            time_bits: time_s.to_bits(),
+            node_seq: (u64::from(node) << 32) | u64::from(nseq),
+            slot,
+        };
+        debug_assert!(
+            entry.key() > self.last,
+            "event pushed before the wheel's clock"
+        );
+        self.insert(entry);
+    }
+
     fn push_arrival(&mut self, time_s: f64, node: u32, nseq: u32) {
-        self.heap.push(WheelEntry {
-            time_s,
-            node,
-            nseq,
-            slot: ARRIVAL_SLOT,
-        });
+        self.push(time_s, node, nseq, ARRIVAL_SLOT);
     }
 
     fn push_frame(&mut self, time_s: f64, node: u32, nseq: u32, payload: FramePayload) {
@@ -126,28 +152,41 @@ impl EventWheel {
             self.slab.push(payload);
             (self.slab.len() - 1) as u32
         };
-        self.heap.push(WheelEntry {
-            time_s,
-            node,
-            nseq,
-            slot,
-        });
+        self.push(time_s, node, nseq, slot);
+    }
+
+    /// The earliest entry (`None` when the wheel is empty).
+    fn peek(&mut self) -> Option<WheelEntry> {
+        if self.top.is_none() && self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.last = bucket.iter().map(WheelEntry::key).min()?;
+            for entry in bucket.drain(..) {
+                self.insert(entry);
+            }
+            self.buckets[b] = bucket;
+        }
+        self.top
     }
 
     /// Pops the earliest event strictly before `target_s`; `None` leaves
-    /// the wheel parked at the barrier. Arrivals return no payload.
+    /// the wheel parked at the barrier, its peeked minimum as `last`
+    /// (nothing is pushed between rounds). Arrivals return no payload.
     fn pop_before(&mut self, target_s: f64) -> Option<(f64, u32, Option<FramePayload>)> {
-        let top = *self.heap.peek()?;
-        if top.time_s >= target_s {
+        let top = self.peek()?;
+        let time_s = f64::from_bits(top.time_bits);
+        if time_s >= target_s {
             return None;
         }
-        self.heap.pop();
+        self.top = None;
+        let node = (top.node_seq >> 32) as u32;
         if top.slot == ARRIVAL_SLOT {
-            return Some((top.time_s, top.node, None));
+            return Some((time_s, node, None));
         }
         let payload = self.slab[top.slot as usize];
         self.free.push(top.slot);
-        Some((top.time_s, top.node, Some(payload)))
+        Some((time_s, node, Some(payload)))
     }
 }
 
@@ -576,22 +615,13 @@ impl ShardSim {
 mod tests {
     use super::*;
 
-    fn entry(time_s: f64, node: u32, nseq: u32) -> WheelEntry {
-        WheelEntry {
-            time_s,
-            node,
-            nseq,
-            slot: ARRIVAL_SLOT,
-        }
-    }
-
     #[test]
     fn wheel_pops_in_time_node_nseq_order() {
         let mut wheel = EventWheel::default();
-        wheel.heap.push(entry(2.0, 0, 1));
-        wheel.heap.push(entry(1.0, 5, 2));
-        wheel.heap.push(entry(1.0, 5, 1));
-        wheel.heap.push(entry(1.0, 3, 9));
+        wheel.push_arrival(2.0, 0, 1);
+        wheel.push_arrival(1.0, 5, 2);
+        wheel.push_arrival(1.0, 5, 1);
+        wheel.push_arrival(1.0, 3, 9);
         let mut order = Vec::new();
         while let Some((t, node, _)) = wheel.pop_before(f64::INFINITY) {
             order.push((t, node));
@@ -600,14 +630,126 @@ mod tests {
     }
 
     #[test]
-    fn wheel_parks_at_the_barrier() {
+    fn wheel_parks_at_the_barrier_and_resumes() {
         let mut wheel = EventWheel::default();
         wheel.push_arrival(1.0, 0, 1);
+        wheel.push_arrival(2.0, 1, 1);
         wheel.push_arrival(2.0, 0, 2);
         assert!(wheel.pop_before(1.0).is_none(), "strictly-before semantics");
         assert_eq!(wheel.pop_before(1.5).map(|(t, ..)| t), Some(1.0));
+        // Parking peeks (2.0, node 0) and moves the clock onto it.
         assert!(wheel.pop_before(1.5).is_none());
-        assert_eq!(wheel.pop_before(f64::INFINITY).map(|(t, ..)| t), Some(2.0));
+        assert!(wheel.pop_before(2.0).is_none());
+        assert_eq!(
+            wheel.pop_before(3.0).map(|(t, n, _)| (t, n)),
+            Some((2.0, 0))
+        );
+        // Resuming, the popped node schedules a same-time successor: it
+        // still outranks node 1.
+        wheel.push_arrival(2.0, 0, 3);
+        let rest: Vec<_> = std::iter::from_fn(|| wheel.pop_before(3.0))
+            .map(|(t, n, _)| (t, n))
+            .collect();
+        assert_eq!(rest, vec![(2.0, 0), (2.0, 1)]);
+    }
+
+    /// A random discrete-event schedule through the wheel and through a
+    /// sorted-`Vec` oracle: every popped event schedules zero to two
+    /// successors of its node at or after its own time (equal times
+    /// included), rounds end at random barriers, and both must pop the
+    /// same `(time, node, payload)` sequence.
+    #[test]
+    fn wheel_matches_a_sorted_oracle_across_barriers() {
+        use crate::rng::XorShiftRng;
+        for seed in 1..=20u64 {
+            let mut rng = XorShiftRng::new(seed);
+            let mut wheel = EventWheel::default();
+            // ((time bits, node, nseq), frame tag), kept sorted descending
+            // so the next due event is last.
+            let mut oracle: Vec<((u64, u32, u32), u32)> = Vec::new();
+            let nodes = 1 + (rng.next_u64() % 40) as u32;
+            let mut nseq = vec![0u32; nodes as usize];
+            let mut tag = 0u32;
+            let mut push = |wheel: &mut EventWheel, rng: &mut XorShiftRng, t: f64, node: u32| {
+                nseq[node as usize] += 1;
+                let seq = nseq[node as usize];
+                tag += 1;
+                if rng.chance(0.5) {
+                    wheel.push_arrival(t, node, seq);
+                    ((t.to_bits(), node, seq), ARRIVAL_SLOT)
+                } else {
+                    let payload = FramePayload {
+                        arrival_s: t,
+                        frame: tag,
+                        attempt: 0,
+                        epoch: 0,
+                    };
+                    wheel.push_frame(t, node, seq, payload);
+                    ((t.to_bits(), node, seq), tag)
+                }
+            };
+            for node in 0..nodes {
+                let t = (rng.next_u64() % 16) as f64 / 8.0;
+                oracle.push(push(&mut wheel, &mut rng, t, node));
+            }
+            let mut budget = 3_000;
+            let mut target = 0.0;
+            while !oracle.is_empty() {
+                target += (rng.next_u64() % 12) as f64 / 8.0;
+                loop {
+                    oracle.sort_unstable_by(|a, b| b.cmp(a));
+                    let due = oracle
+                        .last()
+                        .filter(|&&((bits, ..), _)| f64::from_bits(bits) < target)
+                        .copied();
+                    let got = wheel.pop_before(target);
+                    let Some(((bits, want_node, _), want_tag)) = due else {
+                        assert!(got.is_none(), "seed {seed}: popped past the barrier");
+                        break;
+                    };
+                    oracle.pop();
+                    let (t, node, payload) = got.expect("the oracle has an event due");
+                    assert_eq!((t.to_bits(), node), (bits, want_node), "seed {seed}");
+                    assert_eq!(payload.map_or(ARRIVAL_SLOT, |p| p.frame), want_tag);
+                    for _ in 0..rng.next_u64() % 3 {
+                        if budget == 0 {
+                            break;
+                        }
+                        budget -= 1;
+                        let dt = (rng.next_u64() % 4) as f64 / 8.0;
+                        oracle.push(push(&mut wheel, &mut rng, t + dt, node));
+                    }
+                }
+            }
+            assert!(wheel.pop_before(f64::INFINITY).is_none());
+        }
+    }
+
+    /// Unstaggered fleets put every node's first arrival at t = 0, so the
+    /// keys differ only below the time bits: the wheel must still pop them
+    /// in node order, and in linear time.
+    #[test]
+    fn unstaggered_arrivals_pop_in_node_order() {
+        let nodes = 10_000u32;
+        let cfg = RuntimeConfig::builder()
+            .nodes(nodes as usize)
+            .duration_s(1.0)
+            .stagger(false)
+            .build()
+            .expect("valid config");
+        let plan = Arc::new(SegmentProfile {
+            front_s: 0.0,
+            back_s: 0.0,
+            sensor_compute_pj: 0.0,
+            agg_compute_pj: 0.0,
+            frames: Vec::new(),
+        });
+        let mut shard = ShardSim::new(0, nodes, &cfg, 0.5, plan);
+        for node in 0..nodes {
+            let popped = shard.wheel.pop_before(0.25).map(|(t, n, _)| (t, n));
+            assert_eq!(popped, Some((0.0, node)));
+        }
+        assert!(shard.wheel.pop_before(0.25).is_none());
     }
 
     #[test]

@@ -1,0 +1,174 @@
+//! Bit-for-bit pins on what a fleet run reports.
+//!
+//! The JSON report and every counter and gauge of the run's
+//! `MetricsRegistry` are derived state: a change to how the executor keeps
+//! its books (event wheel, aggregator bookkeeping, report writer) must not
+//! move a byte of either. Three runs cover the executor's modes: the chaos
+//! scenario CI smokes (8 nodes, bursts, crashes, adaptive controller), the
+//! `examples/tenants.json` multi-tenant scenario, and a plain lossy
+//! 2 000-node fleet that drains in one round.
+
+use xpro::data::{generate_case_sized, CaseId};
+use xpro::ml::SubspaceConfig;
+use xpro::prelude::*;
+use xpro::runtime::{MetricsRegistry, RuntimeConfigBuilder};
+
+/// `(to_json digest, metrics digest)` per run, recorded from the executor
+/// that still counted segments and admission rejections per event and kept
+/// latency and batch-size histograms in the registry. Only the histograms
+/// are gone since; the chaos and tenant JSON digests equal those of the
+/// `runtime --json` output CI compares across shard counts.
+const CHAOS: (u64, u64) = (0x7025_4858_1456_adff, 0x62ad_490d_52d9_594c);
+const TENANTS: (u64, u64) = (0x1fe7_ecfe_70a7_cbc7, 0xed55_4f2d_3ee4_2174);
+const LOSSY: (u64, u64) = (0x49d2_b753_8f83_8404, 0x4049_73de_8c68_88c2);
+
+/// FNV-1a over bytes.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+}
+
+/// Digest of every counter and gauge: names, then values (gauges by bit
+/// pattern), in the registry's sorted order.
+fn metrics_digest(m: &MetricsRegistry) -> u64 {
+    let mut d = Digest::new();
+    for (name, value) in m.counters() {
+        d.bytes(b"c")
+            .bytes(name.as_bytes())
+            .bytes(&value.to_le_bytes());
+    }
+    for (name, value) in m.gauges() {
+        d.bytes(b"g")
+            .bytes(name.as_bytes())
+            .bytes(&value.to_bits().to_le_bytes());
+    }
+    d.0
+}
+
+/// The C1 instance and certified cross-end cut the `runtime` CLI builds
+/// with its default arguments.
+fn cli_instance() -> (XProInstance, Partition) {
+    let data = generate_case_sized(CaseId::C1, 60, 42);
+    let cfg = PipelineConfig::builder()
+        .subspace(SubspaceConfig {
+            candidates: 10,
+            keep_fraction: 0.3,
+            min_keep: 3,
+            folds: 2,
+            ..SubspaceConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    let pipeline = XProPipeline::train(&data, &cfg).expect("trains");
+    let len = pipeline.segment_len();
+    let inst = XProInstance::try_new(pipeline.into_built(), SystemConfig::default(), len)
+        .expect("valid instance");
+    let partition = XProGenerator::new(&inst)
+        .partition_for(Engine::CrossEnd)
+        .expect("cross-end cut");
+    (inst, partition)
+}
+
+/// Runs `cfg` at one and at three shards, checks the reports agree, and
+/// returns the JSON report and the metrics digest.
+fn run(inst: &XProInstance, p: &Partition, cfg: &RuntimeConfig) -> (String, u64) {
+    let run_at = |shards: usize| {
+        ExecutorBuilder::new(FleetSpec::new(inst, p, cfg.clone()).expect("valid spec"))
+            .shards(shards)
+            .build()
+            .expect("valid build")
+            .run()
+            .report
+    };
+    let one = run_at(1);
+    let three = run_at(3);
+    let json = one.to_json();
+    assert_eq!(json, three.to_json(), "shard count moved the report");
+    assert_eq!(one.metrics, three.metrics, "shard count moved the metrics");
+    (json, metrics_digest(&one.metrics))
+}
+
+/// The CI chaos scenario's fault stack on 8 nodes for 30 s.
+fn chaos_builder() -> RuntimeConfigBuilder {
+    RuntimeConfig::builder()
+        .nodes(8)
+        .duration_s(30.0)
+        .drop_rate(0.2)
+        .burst_bad_rate(0.95)
+        .burst_p_enter(0.3)
+        .burst_p_exit(0.05)
+        .seed(7)
+}
+
+fn check(label: &str, (json, metrics): (String, u64), (pinned_json, pinned_metrics): (u64, u64)) {
+    let json_digest = Digest::new().bytes(json.as_bytes()).0;
+    assert_eq!(
+        json_digest, pinned_json,
+        "{label}: report JSON digest {json_digest:#018x} != pinned {pinned_json:#018x}"
+    );
+    assert_eq!(
+        metrics, pinned_metrics,
+        "{label}: metrics digest {metrics:#018x} != pinned {pinned_metrics:#018x}"
+    );
+}
+
+#[test]
+fn reports_and_metrics_match_the_pinned_digests() {
+    let (inst, p) = cli_instance();
+
+    let chaos = chaos_builder()
+        .mtbf_s(30.0)
+        .mttr_s(2.0)
+        .adaptive(true)
+        .min_dwell_s(1.0)
+        .build()
+        .expect("valid chaos config");
+    check("chaos", run(&inst, &p, &chaos), CHAOS);
+
+    // `examples/tenants.json`, spec for spec.
+    let tenants = vec![
+        TenantSpec::new("health", 4)
+            .weight(2)
+            .quota_hz(0.0)
+            .degrade(false),
+        TenantSpec::new("fitness", 2)
+            .weight(1)
+            .quota_hz(6.0)
+            .quota_burst(4)
+            .degrade(true)
+            .breaker_rounds(3)
+            .cooldown_s(2.0),
+        TenantSpec::new("telemetry", 2)
+            .weight(1)
+            .quota_hz(2.0)
+            .quota_burst(2)
+            .degrade(true)
+            .breaker_rounds(2)
+            .cooldown_s(4.0),
+    ];
+    let tenancy = chaos_builder()
+        .tenants(tenants)
+        .build()
+        .expect("valid tenant config");
+    check("tenants", run(&inst, &p, &tenancy), TENANTS);
+
+    let lossy = RuntimeConfig::builder()
+        .nodes(2_000)
+        .duration_s(2.0)
+        .drop_rate(0.05)
+        .seed(3)
+        .build()
+        .expect("valid lossy config");
+    check("lossy 2000", run(&inst, &p, &lossy), LOSSY);
+}
