@@ -213,6 +213,31 @@ pub fn analyze_approx_budget(
 ) -> Result<ApproxAnalysis, AnalyzeError> {
     budget.validate()?;
     let exact = try_analyze(cells, input, opts)?;
+    analyze_approx_budget_with_exact(cells, input, opts, assignment, budget, exact)
+}
+
+/// [`analyze_approx_budget`] with the exact run supplied by the caller,
+/// who must have computed it as `try_analyze(cells, input, opts)`. The
+/// exact run does not depend on the assignment, so a planner screening
+/// several assignments of one graph runs it once.
+///
+/// # Errors
+///
+/// Returns an [`AnalyzeError`] when the bounds, options, budget, or any
+/// assigned [`ApproxConfig`] are invalid.
+///
+/// # Panics
+///
+/// Panics if the cell list is not topologically ordered.
+pub fn analyze_approx_budget_with_exact(
+    cells: &[CellSpec],
+    input: SignalBounds,
+    opts: &AnalyzeOptions,
+    assignment: &BTreeMap<usize, ApproxConfig>,
+    budget: &ApproxBudget,
+    exact: AnalysisReport,
+) -> Result<ApproxAnalysis, AnalyzeError> {
+    budget.validate()?;
     let approx = try_analyze_approx(cells, input, opts, assignment)?;
 
     // Taint: a knob applied *upstream* of the feature layer (the skipped

@@ -55,8 +55,8 @@ pub use analysis::{
     AnalyzeOptions, CellReport, CellSpec, DomainReport, SignalBounds, ValueRange, Verdict,
 };
 pub use approx::{
-    analyze_approx_budget, approx_finding, ApproxAnalysis, ApproxBudget, ApproxVerdict,
-    SvmDeviation,
+    analyze_approx_budget, analyze_approx_budget_with_exact, approx_finding, ApproxAnalysis,
+    ApproxBudget, ApproxVerdict, SvmDeviation,
 };
 pub use energy::{analyze_energy, EnergyBounds, EnergyViolation};
 pub use gate::{

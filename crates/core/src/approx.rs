@@ -36,10 +36,10 @@ use crate::error::XProError;
 use crate::generator::XProGenerator;
 use crate::instance::XProInstance;
 use crate::partition::{evaluate, Partition};
-use crate::pipeline::XProPipeline;
+use crate::pipeline::{FrontEnd, XProPipeline};
 use std::collections::BTreeMap;
 use xpro_analyze::{
-    analyze_approx_budget, AnalyzeOptions, ApproxAnalysis, ApproxBudget, ApproxVerdict,
+    analyze_approx_budget_with_exact, AnalyzeOptions, ApproxAnalysis, ApproxBudget, ApproxVerdict,
 };
 use xpro_data::Dataset;
 use xpro_hw::{ApproxConfig, ModuleKind};
@@ -240,6 +240,143 @@ impl ApproxPlanOutcome {
     }
 }
 
+/// What a base's per-segment scores depend on, beyond the segments
+/// themselves: two evaluations with equal keys score every segment
+/// bit-identically, so [`ApproxEvaluator`] computes each key's scores
+/// once.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct ScoreKey {
+    /// The base; its index fixes the model and the input features.
+    base: usize,
+    svm_on_sensor: bool,
+    /// The SVM cell's effective knob, with the truncation dropped on the
+    /// aggregator, whose multipliers are exact.
+    knob: ApproxConfig,
+    /// [`XProPipeline::score_placements`]: each input feature cell's
+    /// placement, plus the Var cell's for a Std that reuses it.
+    features_on_sensor: Vec<bool>,
+    skip_deepest_dwt: bool,
+}
+
+/// Accuracy evaluation for [`plan_approximate`]: the cross-end Q16
+/// prediction of every segment of a dataset under a cut and an
+/// approximation assignment, each piece of work done once per planner
+/// call.
+///
+/// * Each segment's front end — padded input, `f64` and Q16 DWTs and the
+///   features of every domain that holds a feature cell, on both
+///   datapaths — is built once, and once more with the deepest DWT level
+///   skipped only if an assignment asks for it.
+/// * A base's scores over all segments are computed once per distinct
+///   [`ScoreKey`] and reused by every later cut that leaves them
+///   unchanged.
+///
+/// Every score equals [`XProPipeline::base_scores_q16_approx`] on the same
+/// segment, cut and assignment, bit for bit.
+#[derive(Debug)]
+pub struct ApproxEvaluator<'a> {
+    pipeline: &'a XProPipeline,
+    segments: &'a [Vec<f64>],
+    /// Front ends of every segment: exact DWT, then deepest level skipped.
+    fronts: [Option<Vec<FrontEnd>>; 2],
+    memo: BTreeMap<ScoreKey, Vec<f64>>,
+}
+
+impl<'a> ApproxEvaluator<'a> {
+    /// An evaluator over `segments`; no work is done until the first
+    /// request.
+    pub fn new(pipeline: &'a XProPipeline, segments: &'a [Vec<f64>]) -> Self {
+        ApproxEvaluator {
+            pipeline,
+            segments,
+            fronts: [None, None],
+            memo: BTreeMap::new(),
+        }
+    }
+
+    /// Per-base scores of every segment: `scores[b][s]` equals
+    /// `base_scores_q16_approx(&segments[s], partition, assignment)[b]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition size differs from the cell count.
+    pub fn base_scores(
+        &mut self,
+        partition: &Partition,
+        assignment: &BTreeMap<usize, ApproxConfig>,
+    ) -> Vec<&[f64]> {
+        let pipeline = self.pipeline;
+        assert_eq!(
+            partition.in_sensor.len(),
+            pipeline.built().graph.len(),
+            "partition size mismatch"
+        );
+        let skip = pipeline.skips_deepest_dwt(assignment);
+        let keys: Vec<ScoreKey> = (0..pipeline.built().svm_cells.len())
+            .map(|b| {
+                let svm_on_sensor = partition.in_sensor[pipeline.built().svm_cells[b]];
+                let mut knob = pipeline.svm_knob(b, assignment);
+                if !svm_on_sensor {
+                    knob.mul_truncation_bits = 0;
+                }
+                ScoreKey {
+                    base: b,
+                    svm_on_sensor,
+                    knob,
+                    features_on_sensor: pipeline.score_placements(b, partition),
+                    skip_deepest_dwt: skip,
+                }
+            })
+            .collect();
+        for key in &keys {
+            if self.memo.contains_key(key) {
+                continue;
+            }
+            let segments = self.segments;
+            let fronts = self.fronts[usize::from(skip)].get_or_insert_with(|| {
+                segments
+                    .iter()
+                    .map(|s| pipeline.front_end(s, skip))
+                    .collect()
+            });
+            let scores = fronts
+                .iter()
+                .map(|front| pipeline.base_score(front, key.base, partition, key.knob))
+                .collect();
+            self.memo.insert(key.clone(), scores);
+        }
+        keys.iter().map(|key| self.memo[key].as_slice()).collect()
+    }
+
+    /// The cross-end Q16 prediction of every segment, equal to
+    /// [`XProPipeline::classify_partitioned_q16_approx`] on each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition size differs from the cell count.
+    pub fn predictions(
+        &mut self,
+        partition: &Partition,
+        assignment: &BTreeMap<usize, ApproxConfig>,
+    ) -> Vec<f64> {
+        let pipeline = self.pipeline;
+        let pruned: Vec<bool> = (0..pipeline.built().svm_cells.len())
+            .map(|b| pipeline.svm_knob(b, assignment).svm_prune)
+            .collect();
+        let n = self.segments.len();
+        let scores = self.base_scores(partition, assignment);
+        let mut row = vec![0.0; scores.len()];
+        (0..n)
+            .map(|s| {
+                for (slot, base) in row.iter_mut().zip(&scores) {
+                    *slot = base[s];
+                }
+                pipeline.predict_from_scores(&row, &pruned)
+            })
+            .collect()
+    }
+}
+
 /// Plans a deployment with per-cell precision as a third optimization
 /// axis (see the [module docs](self) for the admission pipeline).
 ///
@@ -248,11 +385,18 @@ impl ApproxPlanOutcome {
 /// beating the exact plan's sensor energy while holding the budget
 /// proof, the certificate check, and the accuracy floor.
 ///
+/// Each piece of work is done once per call: the exact instance's range
+/// analysis serves every rung's budget proof, whose approximate run in
+/// turn prices the rung's instance, and one [`ApproxEvaluator`] scores the
+/// exact cut and every rung's cut.
+///
 /// # Errors
 ///
-/// Returns [`XProError::Config`] for invalid options or an empty
-/// dataset, and propagates exact-plan instantiation or generation
-/// failure. A failing *approximate* rung is skipped, never fatal.
+/// Returns [`XProError::Config`] for invalid options, an empty dataset,
+/// a dataset with fewer segments than folds, or one whose label count
+/// differs from its segment count, and propagates exact-plan
+/// instantiation or generation failure. A failing *approximate* rung is
+/// skipped, never fatal.
 pub fn plan_approximate(
     pipeline: &XProPipeline,
     dataset: &Dataset,
@@ -260,8 +404,21 @@ pub fn plan_approximate(
     opts: &ApproxPlanOptions,
 ) -> Result<ApproxPlanOutcome, XProError> {
     opts.validate().map_err(XProError::config)?;
-    if dataset.segments.is_empty() {
+    let n = dataset.segments.len();
+    if n == 0 {
         return Err(XProError::config("dataset has no segments"));
+    }
+    if dataset.labels.len() != n {
+        return Err(XProError::config(format!(
+            "dataset has {} labels for {n} segments",
+            dataset.labels.len()
+        )));
+    }
+    if n < opts.folds {
+        return Err(XProError::config(format!(
+            "dataset has {n} segments, fewer than the {} folds",
+            opts.folds
+        )));
     }
     let exact_inst =
         XProInstance::try_new(pipeline.built().clone(), config, pipeline.segment_len())?;
@@ -271,8 +428,10 @@ pub fn plan_approximate(
     let exact_sensor_pj = evaluate(&exact_inst, &exact_part).sensor.total_pj();
 
     let folds = stratified_k_fold(&dataset.labels, opts.folds, opts.fold_seed);
-    let fold_accuracy =
-        |partition: &Partition, assignment: Option<&BTreeMap<usize, ApproxConfig>>| -> f64 {
+    let mut evaluator = ApproxEvaluator::new(pipeline, &dataset.segments);
+    let mut fold_accuracy =
+        |partition: &Partition, assignment: &BTreeMap<usize, ApproxConfig>| -> f64 {
+            let predictions = evaluator.predictions(partition, assignment);
             let mut sum = 0.0;
             let mut counted = 0usize;
             for fold in &folds {
@@ -281,14 +440,7 @@ pub fn plan_approximate(
                 }
                 let hits = fold
                     .iter()
-                    .filter(|&&i| {
-                        let seg = &dataset.segments[i];
-                        let pred = match assignment {
-                            Some(a) => pipeline.classify_partitioned_q16_approx(seg, partition, a),
-                            None => pipeline.classify_partitioned_q16(seg, partition),
-                        };
-                        pred == dataset.labels[i]
-                    })
+                    .filter(|&&i| predictions[i] == dataset.labels[i])
                     .count();
                 sum += hits as f64 / fold.len() as f64;
                 counted += 1;
@@ -299,7 +451,7 @@ pub fn plan_approximate(
                 sum / counted as f64
             }
         };
-    let cv_exact_accuracy = fold_accuracy(&exact_part, None);
+    let cv_exact_accuracy = fold_accuracy(&exact_part, &BTreeMap::new());
 
     let specs = cell_specs(&pipeline.built().graph);
     let analyze_opts = AnalyzeOptions::default();
@@ -309,18 +461,20 @@ pub fn plan_approximate(
         if assignment.is_empty() {
             continue;
         }
-        let analysis = analyze_approx_budget(
+        let analysis = analyze_approx_budget_with_exact(
             &specs,
             exact_inst.bounds(),
             &analyze_opts,
             &assignment,
             &opts.budget,
+            exact_inst.analysis().clone(),
         )
         .map_err(|e| XProError::config(e.to_string()))?;
         if analysis.verdict != ApproxVerdict::BudgetProven {
             continue;
         }
-        let Ok(inst) = exact_inst.with_approx(assignment.clone()) else {
+        let Ok(inst) = exact_inst.with_approx_analyzed(assignment.clone(), analysis.approx.clone())
+        else {
             continue;
         };
         let Ok((partition, certificate)) =
@@ -328,7 +482,7 @@ pub fn plan_approximate(
         else {
             continue;
         };
-        let cv_approx_accuracy = fold_accuracy(&partition, Some(&assignment));
+        let cv_approx_accuracy = fold_accuracy(&partition, &assignment);
         if cv_approx_accuracy < cv_exact_accuracy - opts.max_accuracy_drop {
             continue;
         }
@@ -369,6 +523,7 @@ mod tests {
 
     use super::*;
     use crate::pipeline::PipelineConfig;
+    use xpro_analyze::analyze_approx_budget;
     use xpro_data::{generate_case_sized, CaseId};
     use xpro_ml::SubspaceConfig;
 
@@ -461,6 +616,36 @@ mod tests {
         };
         assert!(matches!(
             plan_approximate(&p, &data, SystemConfig::default(), &bad),
+            Err(XProError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn fewer_segments_than_folds_is_a_config_error() {
+        let (p, mut data) = quick_pipeline(CaseId::C1, 23);
+        data.segments.truncate(2);
+        data.labels.truncate(2);
+        let opts = ApproxPlanOptions {
+            folds: 3,
+            ..ApproxPlanOptions::default()
+        };
+        assert!(matches!(
+            plan_approximate(&p, &data, SystemConfig::default(), &opts),
+            Err(XProError::Config(_))
+        ));
+    }
+
+    #[test]
+    fn label_count_mismatch_is_a_config_error() {
+        let (p, mut data) = quick_pipeline(CaseId::C1, 29);
+        data.labels.push(1.0);
+        assert!(matches!(
+            plan_approximate(
+                &p,
+                &data,
+                SystemConfig::default(),
+                &ApproxPlanOptions::default()
+            ),
             Err(XProError::Config(_))
         ));
     }

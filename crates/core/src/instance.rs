@@ -101,15 +101,7 @@ impl XProInstance {
         if built.graph.is_empty() {
             return Err(XProError::config("cell graph has no cells"));
         }
-        for (&cell, cfg) in &approx {
-            if cell >= built.graph.len() {
-                return Err(XProError::config(format!(
-                    "approx assignment names cell {cell} of a {}-cell graph",
-                    built.graph.len()
-                )));
-            }
-            cfg.validate().map_err(XProError::config)?;
-        }
+        check_assignment(&built, &approx)?;
         let analysis = analyze_approx(
             &cell_specs(&built.graph),
             bounds,
@@ -181,6 +173,32 @@ impl XProInstance {
             self.bounds,
             approx,
         )
+    }
+
+    /// [`XProInstance::with_approx`] with the assignment's range analysis
+    /// supplied by the caller, who must have computed it as
+    /// `analyze_approx(&cell_specs(&graph), self.bounds(),
+    /// &AnalyzeOptions::default(), &approx)` (the approximate run of a
+    /// budget proof is exactly that).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XProError::Config`] if an assigned [`ApproxConfig`] is
+    /// invalid or names a cell outside the graph.
+    pub(crate) fn with_approx_analyzed(
+        &self,
+        approx: BTreeMap<usize, ApproxConfig>,
+        analysis: AnalysisReport,
+    ) -> Result<Self, XProError> {
+        check_assignment(&self.built, &approx)?;
+        Ok(XProInstance::priced(
+            self.built.clone(),
+            self.config.clone(),
+            self.segment_len,
+            self.bounds,
+            approx,
+            analysis,
+        ))
     }
 
     /// Re-prices this instance's graph under a different system
@@ -302,4 +320,21 @@ impl XProInstance {
     pub fn total_sensor_compute_pj(&self) -> f64 {
         self.sensor_costs.iter().map(|c| c.energy_pj).sum()
     }
+}
+
+/// Checks that every assigned knob is valid and names a cell of the graph.
+fn check_assignment(
+    built: &BuiltGraph,
+    approx: &BTreeMap<usize, ApproxConfig>,
+) -> Result<(), XProError> {
+    for (&cell, cfg) in approx {
+        if cell >= built.graph.len() {
+            return Err(XProError::config(format!(
+                "approx assignment names cell {cell} of a {}-cell graph",
+                built.graph.len()
+            )));
+        }
+        cfg.validate().map_err(XProError::config)?;
+    }
+    Ok(())
 }

@@ -79,7 +79,8 @@ pub mod testutil;
 pub use aggregator::AggregatorModel;
 pub use analysis::{analyze_graph, cell_specs};
 pub use approx::{
-    assignment_for_graph, plan_approximate, ApproxLevel, ApproxPlanOptions, ApproxPlanOutcome,
+    assignment_for_graph, plan_approximate, ApproxEvaluator, ApproxLevel, ApproxPlanOptions,
+    ApproxPlanOutcome,
 };
 pub use builder::{build_cell_graph, build_full_cell_graph, BuildOptions, BuiltGraph};
 pub use cellgraph::{Cell, CellGraph, CellId, PortRef};

@@ -17,8 +17,9 @@ use xpro_hw::ApproxConfig;
 use xpro_ml::cv::{gather, stratified_split};
 use xpro_ml::metrics::accuracy;
 use xpro_ml::{MinMaxScaler, RandomSubspaceModel, SubspaceConfig};
-use xpro_signal::dwt::{dwt_multilevel, Wavelet};
-use xpro_signal::stats::{feature_f64, FeatureKind};
+use xpro_signal::dwt::{dwt_multilevel, dwt_multilevel_approx, dwt_multilevel_q16_approx, Wavelet};
+use xpro_signal::fixed::Q16;
+use xpro_signal::stats::{all_features_q16, feature_f64, FeatureKind};
 use xpro_signal::window::fit_length;
 
 /// Training options for a pipeline.
@@ -174,6 +175,21 @@ pub fn extract_features(segment: &[f64], wavelet: Wavelet) -> Vec<f64> {
     out
 }
 
+/// One segment's feature layer on both datapaths: for every feature cell
+/// of a pipeline's graph, the value it computes on the aggregator (`f64`)
+/// and on the sensor (Q16.16, widened exactly to `f64`), indexed by
+/// [`FeatureLayout::index`]. A Std cell that reuses Var derives its value
+/// from the Var entry instead of reading its own.
+///
+/// A partition only selects which of the two values each SVM reads, so
+/// one front end serves every partition and every assignment with the
+/// same `dwt_skip` flag.
+#[derive(Debug)]
+pub(crate) struct FrontEnd {
+    float: [f64; FeatureLayout::DIM],
+    fixed: [f64; FeatureLayout::DIM],
+}
+
 /// A trained XPro pipeline for one dataset case.
 #[derive(Clone, Debug)]
 pub struct XProPipeline {
@@ -300,7 +316,9 @@ impl XProPipeline {
     /// Q16.16 fixed-point datapath (paper §4.4: "32-bit fixed-number with
     /// 16-bit integer and 16-bit decimals for functional cells") and the
     /// in-aggregator cells in `f64` software — the numerically faithful
-    /// cross-end execution.
+    /// cross-end execution. This is
+    /// [`XProPipeline::classify_partitioned_q16_approx`] with no
+    /// approximation knob set.
     ///
     /// Quantization can flip predictions on segments close to the decision
     /// boundary; the integration tests bound the disagreement rate against
@@ -310,86 +328,7 @@ impl XProPipeline {
     ///
     /// Panics if the partition size differs from the cell count.
     pub fn classify_partitioned_q16(&self, segment: &[f64], partition: &Partition) -> f64 {
-        assert_eq!(
-            partition.in_sensor.len(),
-            self.built.graph.len(),
-            "partition size mismatch"
-        );
-        use xpro_signal::dwt::dwt_multilevel_q16;
-        use xpro_signal::fixed::Q16;
-        use xpro_signal::stats::feature_q16;
-
-        let padded = fit_length(segment, DWT_INPUT_LEN);
-        // Float path for aggregator-side cells.
-        let dec = dwt_multilevel(&padded, DWT_LEVELS, self.wavelet);
-        // Fixed path for sensor-side cells.
-        let padded_q: Vec<Q16> = padded.iter().map(|&v| Q16::from_f64(v)).collect();
-        let (details_q, approx_q) = dwt_multilevel_q16(&padded_q, DWT_LEVELS, self.wavelet);
-
-        let float_window = |domain: Domain| -> &[f64] {
-            match domain {
-                Domain::Time => &padded,
-                Domain::Detail(l) => &dec.details[l as usize - 1],
-                Domain::Approx => &dec.approx,
-            }
-        };
-        let fixed_window = |domain: Domain| -> &[Q16] {
-            match domain {
-                Domain::Time => &padded_q,
-                Domain::Detail(l) => &details_q[l as usize - 1],
-                Domain::Approx => &approx_q,
-            }
-        };
-
-        let mut raw_feature: Vec<f64> = vec![0.0; FeatureLayout::DIM];
-        for (&fi, &cid) in &self.built.feature_cells {
-            let (domain, kind) = FeatureLayout::decode(fi);
-            let cell = &self.built.graph.cells()[cid];
-            let on_sensor = partition.in_sensor[cid];
-            let value = match cell.module {
-                xpro_hw::ModuleKind::Feature {
-                    reuses_var: true, ..
-                } => {
-                    let var = raw_feature[FeatureLayout::index(domain, FeatureKind::Var)];
-                    if on_sensor {
-                        Q16::from_f64(var).sqrt().to_f64()
-                    } else {
-                        var.max(0.0).sqrt()
-                    }
-                }
-                _ => {
-                    if on_sensor {
-                        feature_q16(kind, fixed_window(domain)).to_f64()
-                    } else {
-                        feature_f64(kind, float_window(domain))
-                    }
-                }
-            };
-            raw_feature[fi] = value;
-        }
-
-        let votes: Vec<f64> = self
-            .built
-            .svm_cells
-            .iter()
-            .zip(self.model.bases())
-            .map(|(cell_id, base)| {
-                let projected: Vec<f64> = base
-                    .feature_indices
-                    .iter()
-                    .map(|&fi| self.scaler.transform_feature(fi, raw_feature[fi]))
-                    .collect();
-                if partition.in_sensor[*cell_id] {
-                    // In-sensor SVM cells evaluate on the Q16 datapath too.
-                    let projected_q: Vec<Q16> =
-                        projected.iter().map(|&v| Q16::from_f64(v)).collect();
-                    base.svm.predict_q16(&projected_q)
-                } else {
-                    base.svm.predict(&projected)
-                }
-            })
-            .collect();
-        self.model.fusion().predict(&votes)
+        self.classify_partitioned_q16_approx(segment, partition, &BTreeMap::new())
     }
 
     /// Per-base decision scores of the cross-end Q16 execution path under a
@@ -435,96 +374,9 @@ impl XProPipeline {
             self.built.graph.len(),
             "partition size mismatch"
         );
-        use xpro_signal::dwt::{dwt_multilevel_approx, dwt_multilevel_q16_approx};
-        use xpro_signal::fixed::Q16;
-        use xpro_signal::stats::feature_q16;
-
-        let cells = self.built.graph.cells();
-        let deepest_dwt = cells
-            .iter()
-            .rposition(|c| matches!(c.module, xpro_hw::ModuleKind::DwtLevel { .. }));
-        let skip_deepest = deepest_dwt.is_some_and(|cid| {
-            assignment
-                .get(&cid)
-                .map(|cfg| cfg.effective_for(&cells[cid].module).dwt_skip)
-                .unwrap_or(false)
-        });
-
-        let padded = fit_length(segment, DWT_INPUT_LEN);
-        let dec = dwt_multilevel_approx(&padded, DWT_LEVELS, self.wavelet, skip_deepest);
-        let padded_q: Vec<Q16> = padded.iter().map(|&v| Q16::from_f64(v)).collect();
-        let (details_q, approx_q) =
-            dwt_multilevel_q16_approx(&padded_q, DWT_LEVELS, self.wavelet, skip_deepest);
-
-        let float_window = |domain: Domain| -> &[f64] {
-            match domain {
-                Domain::Time => &padded,
-                Domain::Detail(l) => &dec.details[l as usize - 1],
-                Domain::Approx => &dec.approx,
-            }
-        };
-        let fixed_window = |domain: Domain| -> &[Q16] {
-            match domain {
-                Domain::Time => &padded_q,
-                Domain::Detail(l) => &details_q[l as usize - 1],
-                Domain::Approx => &approx_q,
-            }
-        };
-
-        let mut raw_feature: Vec<f64> = vec![0.0; FeatureLayout::DIM];
-        for (&fi, &cid) in &self.built.feature_cells {
-            let (domain, kind) = FeatureLayout::decode(fi);
-            let cell = &self.built.graph.cells()[cid];
-            let on_sensor = partition.in_sensor[cid];
-            let value = match cell.module {
-                xpro_hw::ModuleKind::Feature {
-                    reuses_var: true, ..
-                } => {
-                    let var = raw_feature[FeatureLayout::index(domain, FeatureKind::Var)];
-                    if on_sensor {
-                        Q16::from_f64(var).sqrt().to_f64()
-                    } else {
-                        var.max(0.0).sqrt()
-                    }
-                }
-                _ => {
-                    if on_sensor {
-                        feature_q16(kind, fixed_window(domain)).to_f64()
-                    } else {
-                        feature_f64(kind, float_window(domain))
-                    }
-                }
-            };
-            raw_feature[fi] = value;
-        }
-
-        self.built
-            .svm_cells
-            .iter()
-            .zip(self.model.bases())
-            .map(|(cell_id, base)| {
-                let eff = assignment
-                    .get(cell_id)
-                    .map(|cfg| cfg.effective_for(&self.built.graph.cells()[*cell_id].module))
-                    .unwrap_or(xpro_hw::ApproxConfig::EXACT);
-                if eff.svm_prune {
-                    return 0.0;
-                }
-                let projected: Vec<f64> = base
-                    .feature_indices
-                    .iter()
-                    .map(|&fi| self.scaler.transform_feature(fi, raw_feature[fi]))
-                    .collect();
-                if partition.in_sensor[*cell_id] {
-                    let projected_q: Vec<Q16> =
-                        projected.iter().map(|&v| Q16::from_f64(v)).collect();
-                    base.svm
-                        .decision_q16_trunc(&projected_q, u32::from(eff.mul_truncation_bits))
-                        .to_f64()
-                } else {
-                    base.svm.decision(&projected)
-                }
-            })
+        let front = self.front_end(segment, self.skips_deepest_dwt(assignment));
+        (0..self.built.svm_cells.len())
+            .map(|b| self.base_score(&front, b, partition, self.svm_knob(b, assignment)))
             .collect()
     }
 
@@ -544,19 +396,179 @@ impl XProPipeline {
         assignment: &BTreeMap<usize, ApproxConfig>,
     ) -> f64 {
         let scores = self.base_scores_q16_approx(segment, partition, assignment);
-        let votes: Vec<f64> = self
-            .built
-            .svm_cells
+        let pruned: Vec<bool> = (0..scores.len())
+            .map(|b| self.svm_knob(b, assignment).svm_prune)
+            .collect();
+        self.predict_from_scores(&scores, &pruned)
+    }
+
+    /// Whether `assignment` skips the deepest DWT level — the only level
+    /// the reduced-depth kernel applies to.
+    pub(crate) fn skips_deepest_dwt(&self, assignment: &BTreeMap<usize, ApproxConfig>) -> bool {
+        let cells = self.built.graph.cells();
+        cells
             .iter()
-            .zip(&scores)
-            .map(|(cell_id, &score)| {
-                let pruned = assignment
-                    .get(cell_id)
-                    .map(|cfg| {
-                        cfg.effective_for(&self.built.graph.cells()[*cell_id].module)
-                            .svm_prune
-                    })
-                    .unwrap_or(false);
+            .rposition(|c| matches!(c.module, xpro_hw::ModuleKind::DwtLevel { .. }))
+            .and_then(|cid| assignment.get(&cid).map(|cfg| (cid, cfg)))
+            .is_some_and(|(cid, cfg)| cfg.effective_for(&cells[cid].module).dwt_skip)
+    }
+
+    /// The knob base `b`'s SVM cell honours under `assignment`.
+    pub(crate) fn svm_knob(
+        &self,
+        b: usize,
+        assignment: &BTreeMap<usize, ApproxConfig>,
+    ) -> ApproxConfig {
+        let cid = self.built.svm_cells[b];
+        assignment.get(&cid).map_or(ApproxConfig::EXACT, |cfg| {
+            cfg.effective_for(&self.built.graph.cells()[cid].module)
+        })
+    }
+
+    /// Runs a segment through the front end on both datapaths: the padded
+    /// input, its `f64` and Q16.16 DWTs (deepest level skipped when
+    /// `skip_deepest_dwt`), every feature cell's `f64` output, and all
+    /// eight Q16 features of every domain that holds a feature cell.
+    pub(crate) fn front_end(&self, segment: &[f64], skip_deepest_dwt: bool) -> FrontEnd {
+        let padded = fit_length(segment, DWT_INPUT_LEN);
+        let dec = dwt_multilevel_approx(&padded, DWT_LEVELS, self.wavelet, skip_deepest_dwt);
+        let padded_q: Vec<Q16> = padded.iter().map(|&v| Q16::from_f64(v)).collect();
+        let (details_q, approx_q) =
+            dwt_multilevel_q16_approx(&padded_q, DWT_LEVELS, self.wavelet, skip_deepest_dwt);
+
+        let mut front = FrontEnd {
+            float: [0.0; FeatureLayout::DIM],
+            fixed: [0.0; FeatureLayout::DIM],
+        };
+        for domain in Domain::all() {
+            let holds_cell = FeatureKind::ALL.iter().any(|&kind| {
+                self.built
+                    .feature_cells
+                    .contains_key(&FeatureLayout::index(domain, kind))
+            });
+            if !holds_cell {
+                continue;
+            }
+            let (float_window, fixed_window): (&[f64], &[Q16]) = match domain {
+                Domain::Time => (&padded, &padded_q),
+                Domain::Detail(l) => (&dec.details[l as usize - 1], &details_q[l as usize - 1]),
+                Domain::Approx => (&dec.approx, &approx_q),
+            };
+            let fixed = all_features_q16(fixed_window);
+            for kind in FeatureKind::ALL {
+                let fi = FeatureLayout::index(domain, kind);
+                if self
+                    .built
+                    .feature_cells
+                    .get(&fi)
+                    .is_some_and(|&cid| !self.reuses_var(cid))
+                {
+                    front.float[fi] = feature_f64(kind, float_window);
+                }
+                front.fixed[fi] = fixed[kind.index()].to_f64();
+            }
+        }
+        front
+    }
+
+    /// Whether feature cell `cid` is a Std that reuses its domain's Var
+    /// cell (paper §3.1.3).
+    fn reuses_var(&self, cid: usize) -> bool {
+        matches!(
+            self.built.graph.cells()[cid].module,
+            xpro_hw::ModuleKind::Feature {
+                reuses_var: true,
+                ..
+            }
+        )
+    }
+
+    /// The value feature `fi` reaches the SVMs with: its cell's output on
+    /// the end `partition` places it. A Std that reuses Var takes the
+    /// square root of the Var cell's output on its own end.
+    fn cell_feature(&self, front: &FrontEnd, fi: usize, partition: &Partition) -> f64 {
+        let Some(&cid) = self.built.feature_cells.get(&fi) else {
+            return 0.0;
+        };
+        let on_sensor = partition.in_sensor[cid];
+        if self.reuses_var(cid) {
+            let (domain, _) = FeatureLayout::decode(fi);
+            let var = self.cell_feature(
+                front,
+                FeatureLayout::index(domain, FeatureKind::Var),
+                partition,
+            );
+            if on_sensor {
+                Q16::from_f64(var).sqrt().to_f64()
+            } else {
+                var.max(0.0).sqrt()
+            }
+        } else if on_sensor {
+            front.fixed[fi]
+        } else {
+            front.float[fi]
+        }
+    }
+
+    /// The placements base `b`'s score reads under `partition`: each input
+    /// feature cell's, followed by the Var cell's for an input Std that
+    /// reuses it. A feature without a cell reads as aggregator-placed.
+    pub(crate) fn score_placements(&self, b: usize, partition: &Partition) -> Vec<bool> {
+        let mut out = Vec::new();
+        for &fi in &self.model.bases()[b].feature_indices {
+            let Some(&cid) = self.built.feature_cells.get(&fi) else {
+                out.push(false);
+                continue;
+            };
+            out.push(partition.in_sensor[cid]);
+            if self.reuses_var(cid) {
+                let (domain, _) = FeatureLayout::decode(fi);
+                let var = FeatureLayout::index(domain, FeatureKind::Var);
+                out.push(partition.in_sensor[self.built.feature_cells[&var]]);
+            }
+        }
+        out
+    }
+
+    /// Decision score of base `b` from a segment's front end, as its SVM
+    /// cell computes it under `partition` with the effective knob `knob`
+    /// (`0.0` for a pruned base).
+    pub(crate) fn base_score(
+        &self,
+        front: &FrontEnd,
+        b: usize,
+        partition: &Partition,
+        knob: ApproxConfig,
+    ) -> f64 {
+        if knob.svm_prune {
+            return 0.0;
+        }
+        let base = &self.model.bases()[b];
+        let projected: Vec<f64> = base
+            .feature_indices
+            .iter()
+            .map(|&fi| {
+                self.scaler
+                    .transform_feature(fi, self.cell_feature(front, fi, partition))
+            })
+            .collect();
+        if partition.in_sensor[self.built.svm_cells[b]] {
+            let projected_q: Vec<Q16> = projected.iter().map(|&v| Q16::from_f64(v)).collect();
+            base.svm
+                .decision_q16_trunc(&projected_q, u32::from(knob.mul_truncation_bits))
+                .to_f64()
+        } else {
+            base.svm.decision(&projected)
+        }
+    }
+
+    /// The fused ±1 prediction from per-base scores: pruned bases abstain
+    /// (vote `0.0`), the others vote by the sign of their score.
+    pub(crate) fn predict_from_scores(&self, scores: &[f64], pruned: &[bool]) -> f64 {
+        let votes: Vec<f64> = scores
+            .iter()
+            .zip(pruned)
+            .map(|(&score, &pruned)| {
                 if pruned {
                     0.0
                 } else if score >= 0.0 {

@@ -15,6 +15,7 @@
 use crate::kernel::Kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xpro_signal::fixed::Q16;
 
 /// Training hyper-parameters for [`Svm::train`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,6 +101,40 @@ pub struct Svm {
     coefficients: Vec<f64>,
     bias: f64,
     dim: usize,
+    /// The same model quantized to Q16.16 once, at training: what an
+    /// in-sensor SVM cell holds in its constant memory.
+    q16: QuantizedSvm,
+}
+
+/// The Q16.16 constants of a trained [`Svm`], each rounded from its `f64`
+/// value exactly as [`Q16::from_f64`] would round it on use.
+#[derive(Clone, Debug, PartialEq)]
+struct QuantizedSvm {
+    /// Support-vector coordinates, row-major, `dim` per vector.
+    support_vectors: Vec<Q16>,
+    coefficients: Vec<Q16>,
+    bias: Q16,
+    /// γ of an RBF kernel, `coef0` of a polynomial one, zero otherwise.
+    kernel_param: Q16,
+}
+
+impl QuantizedSvm {
+    fn new(kernel: Kernel, support_vectors: &[Vec<f64>], coefficients: &[f64], bias: f64) -> Self {
+        QuantizedSvm {
+            support_vectors: support_vectors
+                .iter()
+                .flatten()
+                .map(|&v| Q16::from_f64(v))
+                .collect(),
+            coefficients: coefficients.iter().map(|&c| Q16::from_f64(c)).collect(),
+            bias: Q16::from_f64(bias),
+            kernel_param: match kernel {
+                Kernel::Linear => Q16::ZERO,
+                Kernel::Rbf { gamma } => Q16::from_f64(gamma),
+                Kernel::Poly { coef0, .. } => Q16::from_f64(coef0),
+            },
+        }
+    }
 }
 
 impl Svm {
@@ -140,18 +175,22 @@ impl Svm {
         let kij = |i: usize, j: usize| k[i * n + j];
 
         let mut alpha = vec![0.0f64; n];
+        // Ascending indices of the non-zero multipliers, so the decision
+        // value sums exactly the terms a scan over all `n` would, in the
+        // same order.
+        let mut nonzero: Vec<usize> = Vec::new();
         let mut b = 0.0f64;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut passes = 0u32;
         let mut iters = 0u32;
 
-        // Decision value on training sample i under current alpha/b.
-        let f = |alpha: &[f64], b: f64, i: usize| -> f64 {
+        // Decision value on training sample i under current alpha/b. The
+        // kernel matrix is symmetric, so row i holds K(j, i) contiguously.
+        let f = |alpha: &[f64], nonzero: &[usize], b: f64, i: usize| -> f64 {
+            let row = &k[i * n..(i + 1) * n];
             let mut acc = b;
-            for j in 0..n {
-                if alpha[j] != 0.0 {
-                    acc += alpha[j] * ys[j] * kij(j, i);
-                }
+            for &j in nonzero {
+                acc += alpha[j] * ys[j] * row[j];
             }
             acc
         };
@@ -160,7 +199,7 @@ impl Svm {
             iters += 1;
             let mut changed = 0usize;
             for i in 0..n {
-                let ei = f(&alpha, b, i) - ys[i];
+                let ei = f(&alpha, &nonzero, b, i) - ys[i];
                 let violates = (ys[i] * ei < -cfg.tol && alpha[i] < cfg.c)
                     || (ys[i] * ei > cfg.tol && alpha[i] > 0.0);
                 if !violates {
@@ -171,7 +210,7 @@ impl Svm {
                 if j >= i {
                     j += 1;
                 }
-                let ej = f(&alpha, b, j) - ys[j];
+                let ej = f(&alpha, &nonzero, b, j) - ys[j];
                 let (ai_old, aj_old) = (alpha[i], alpha[j]);
                 // Compute clip bounds.
                 let (lo, hi) = if ys[i] != ys[j] {
@@ -200,6 +239,8 @@ impl Svm {
                 let ai_new = ai_old + ys[i] * ys[j] * (aj_old - aj_new);
                 alpha[i] = ai_new;
                 alpha[j] = aj_new;
+                track_nonzero(&mut nonzero, i, ai_new);
+                track_nonzero(&mut nonzero, j, aj_new);
                 // Update bias.
                 let b1 = b
                     - ei
@@ -234,12 +275,14 @@ impl Svm {
                 coefficients.push(alpha[i] * ys[i]);
             }
         }
+        let q16 = QuantizedSvm::new(cfg.kernel, &support_vectors, &coefficients, b);
         Ok(Svm {
             kernel: cfg.kernel,
             support_vectors,
             coefficients,
             bias: b,
             dim,
+            q16,
         })
     }
 
@@ -271,49 +314,16 @@ impl Svm {
     /// §4.4: 32-bit fixed point; §3.1.1: the S-ALU's exponent unit serves
     /// the RBF kernel).
     ///
-    /// Support-vector coordinates, coefficients and the bias are quantized
-    /// once per call; inputs are expected to already be normalized to
-    /// `[0, 1]`, so no saturation occurs in practice.
+    /// Support-vector coordinates, coefficients, the bias and the kernel
+    /// parameter were quantized once, at training; inputs are expected to
+    /// already be normalized to `[0, 1]`, so no saturation occurs in
+    /// practice.
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the training dimensionality.
-    pub fn decision_q16(&self, x: &[xpro_signal::fixed::Q16]) -> xpro_signal::fixed::Q16 {
-        use xpro_signal::fixed::Q16;
-        assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        let mut acc = Q16::from_f64(self.bias);
-        for (sv, &coef) in self.support_vectors.iter().zip(&self.coefficients) {
-            let k = match self.kernel {
-                Kernel::Linear => {
-                    let mut dot = Q16::ZERO;
-                    for (&s, &v) in sv.iter().zip(x) {
-                        dot += Q16::from_f64(s) * v;
-                    }
-                    dot
-                }
-                Kernel::Rbf { gamma } => {
-                    let mut dist2 = Q16::ZERO;
-                    for (&s, &v) in sv.iter().zip(x) {
-                        let d = Q16::from_f64(s) - v;
-                        dist2 += d * d;
-                    }
-                    (-(Q16::from_f64(gamma) * dist2)).exp()
-                }
-                Kernel::Poly { degree, coef0 } => {
-                    let mut dot = Q16::from_f64(coef0);
-                    for (&s, &v) in sv.iter().zip(x) {
-                        dot += Q16::from_f64(s) * v;
-                    }
-                    let mut out = Q16::ONE;
-                    for _ in 0..degree {
-                        out = out * dot;
-                    }
-                    out
-                }
-            };
-            acc += Q16::from_f64(coef) * k;
-        }
-        acc
+    pub fn decision_q16(&self, x: &[Q16]) -> Q16 {
+        self.decision_q16_with(x, |a, b| a * b)
     }
 
     /// Signed decision value on the Q16.16 datapath with every multiply
@@ -332,54 +342,59 @@ impl Svm {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the training dimensionality.
-    pub fn decision_q16_trunc(
-        &self,
-        x: &[xpro_signal::fixed::Q16],
-        bits: u32,
-    ) -> xpro_signal::fixed::Q16 {
-        use xpro_signal::fixed::Q16;
+    pub fn decision_q16_trunc(&self, x: &[Q16], bits: u32) -> Q16 {
         if bits == 0 {
             return self.decision_q16(x);
         }
+        self.decision_q16_with(x, |a, b| a.truncated_mul(b, bits))
+    }
+
+    /// The Q16.16 decision walk over the stored constants, with every
+    /// multiply done by `mul`.
+    fn decision_q16_with(&self, x: &[Q16], mul: impl Fn(Q16, Q16) -> Q16) -> Q16 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
-        let mut acc = Q16::from_f64(self.bias);
-        for (sv, &coef) in self.support_vectors.iter().zip(&self.coefficients) {
+        let q = &self.q16;
+        let mut acc = q.bias;
+        for (sv, &coef) in q
+            .support_vectors
+            .chunks_exact(self.dim)
+            .zip(&q.coefficients)
+        {
             let k = match self.kernel {
                 Kernel::Linear => {
                     let mut dot = Q16::ZERO;
                     for (&s, &v) in sv.iter().zip(x) {
-                        dot += Q16::from_f64(s).truncated_mul(v, bits);
+                        dot += mul(s, v);
                     }
                     dot
                 }
-                Kernel::Rbf { gamma } => {
+                Kernel::Rbf { .. } => {
                     let mut dist2 = Q16::ZERO;
                     for (&s, &v) in sv.iter().zip(x) {
-                        let d = Q16::from_f64(s) - v;
-                        dist2 += d.truncated_mul(d, bits);
+                        let d = s - v;
+                        dist2 += mul(d, d);
                     }
-                    (-(Q16::from_f64(gamma).truncated_mul(dist2, bits))).exp()
+                    (-mul(q.kernel_param, dist2)).exp()
                 }
-                Kernel::Poly { degree, coef0 } => {
-                    let mut dot = Q16::from_f64(coef0);
+                Kernel::Poly { degree, .. } => {
+                    let mut dot = q.kernel_param;
                     for (&s, &v) in sv.iter().zip(x) {
-                        dot += Q16::from_f64(s).truncated_mul(v, bits);
+                        dot += mul(s, v);
                     }
                     let mut out = Q16::ONE;
                     for _ in 0..degree {
-                        out = out.truncated_mul(dot, bits);
+                        out = mul(out, dot);
                     }
                     out
                 }
             };
-            acc += Q16::from_f64(coef).truncated_mul(k, bits);
+            acc += mul(coef, k);
         }
         acc
     }
 
     /// Predicted ±1 label from the fixed-point datapath (ties map to +1).
-    pub fn predict_q16(&self, x: &[xpro_signal::fixed::Q16]) -> f64 {
-        use xpro_signal::fixed::Q16;
+    pub fn predict_q16(&self, x: &[Q16]) -> f64 {
         if self.decision_q16(x) >= Q16::ZERO {
             1.0
         } else {
@@ -401,6 +416,18 @@ impl Svm {
     /// Kernel used by this model.
     pub fn kernel(&self) -> Kernel {
         self.kernel
+    }
+}
+
+/// Keeps `nonzero` (ascending) in step with multiplier `idx` now holding
+/// `value`.
+fn track_nonzero(nonzero: &mut Vec<usize>, idx: usize, value: f64) {
+    match (nonzero.binary_search(&idx), value != 0.0) {
+        (Ok(pos), false) => {
+            nonzero.remove(pos);
+        }
+        (Err(pos), true) => nonzero.insert(pos, idx),
+        _ => {}
     }
 }
 
@@ -541,7 +568,6 @@ mod tests {
 
     #[test]
     fn q16_decision_tracks_float() {
-        use xpro_signal::fixed::Q16;
         let (xs, ys) = linearly_separable(60, 13);
         // Normalize inputs to [0, 1] as the pipeline does.
         let xs: Vec<Vec<f64>> = xs
@@ -568,7 +594,6 @@ mod tests {
 
     #[test]
     fn q16_linear_kernel_matches() {
-        use xpro_signal::fixed::Q16;
         let (xs, ys) = linearly_separable(40, 19);
         let xs: Vec<Vec<f64>> = xs
             .iter()
@@ -594,7 +619,6 @@ mod tests {
 
     #[test]
     fn truncated_decision_zero_bits_is_exact() {
-        use xpro_signal::fixed::Q16;
         let (xs, ys) = linearly_separable(40, 23);
         let xs: Vec<Vec<f64>> = xs
             .iter()
@@ -609,7 +633,6 @@ mod tests {
 
     #[test]
     fn truncated_decision_stays_within_static_envelope() {
-        use xpro_signal::fixed::Q16;
         let (xs, ys) = linearly_separable(60, 29);
         let xs: Vec<Vec<f64>> = xs
             .iter()

@@ -196,13 +196,60 @@ pub fn feature_q16(kind: FeatureKind, window: &[Q16]) -> Q16 {
     }
 }
 
-/// Computes every feature of [`FeatureKind::ALL`] over a fixed-point window.
+/// Computes every feature of [`FeatureKind::ALL`] over a fixed-point window,
+/// bit-identical to [`feature_q16`] for each kind.
+///
+/// One pass takes the extremes, the sum and the zero crossings; a second,
+/// after the mean, takes the 2nd, 3rd and 4th central moments together.
+/// The powers of `x − mean` are the same saturating product chain
+/// `feature_q16` forms for each moment, so sharing their prefixes changes
+/// no bit.
 pub fn all_features_q16(window: &[Q16]) -> [Q16; 8] {
-    let mut out = [Q16::ZERO; 8];
-    for (slot, kind) in out.iter_mut().zip(FeatureKind::ALL) {
-        *slot = feature_q16(kind, window);
+    if window.is_empty() {
+        return [Q16::ZERO; 8];
     }
-    out
+    let n = Q16::from_int(window.len() as i32);
+    let (mut max, mut min, mut sum) = (Q16::MIN, Q16::MAX, Q16::ZERO);
+    let mut crossings = 0i32;
+    let mut prev_negative = window[0].is_negative();
+    for &x in window {
+        max = max.max(x);
+        min = min.min(x);
+        sum += x;
+        crossings += i32::from(x.is_negative() != prev_negative);
+        prev_negative = x.is_negative();
+    }
+    let mean = sum / n;
+    let (mut m2, mut m3, mut m4) = (Q16::ZERO, Q16::ZERO, Q16::ZERO);
+    for &x in window {
+        let d = x - mean;
+        let d2 = Q16::ONE * d * d;
+        let d3 = d2 * d;
+        m2 += d2 / n;
+        m3 += d3 / n;
+        m4 += d3 * d / n;
+    }
+    let sigma = m2.sqrt();
+    let skew_denom = sigma * sigma * sigma;
+    let kurt_denom = m2 * m2;
+    [
+        max,
+        min,
+        mean,
+        m2,
+        sigma,
+        Q16::from_int(crossings) / n,
+        if skew_denom == Q16::ZERO {
+            Q16::ZERO
+        } else {
+            m3 / skew_denom
+        },
+        if kurt_denom == Q16::ZERO {
+            Q16::ZERO
+        } else {
+            m4 / kurt_denom
+        },
+    ]
 }
 
 fn mean_q16(window: &[Q16]) -> Q16 {

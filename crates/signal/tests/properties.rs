@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use xpro_signal::dwt::{dwt_multilevel, dwt_single, Wavelet};
 use xpro_signal::fixed::Q16;
-use xpro_signal::stats::{feature_f64, feature_q16, FeatureKind};
+use xpro_signal::stats::{all_features_q16, feature_f64, feature_q16, FeatureKind};
 use xpro_signal::window::{fit_length, normalize_unit};
 
 fn small_signal() -> impl Strategy<Value = Vec<f64>> {
@@ -47,6 +47,22 @@ proptest! {
         let lo = Q16::from_f64(a).exp();
         let hi = Q16::from_f64(a + d).exp();
         prop_assert!(hi >= lo);
+    }
+
+    #[test]
+    fn all_features_q16_equals_feature_q16_per_kind(
+        w in prop::collection::vec(-1.0f64..1.0, 1..129),
+        exponent in 0u32..17,
+        mantissa in 1.0f64..2.0,
+    ) {
+        // Scales from unit data up past the ±32768 rails, so every moment
+        // chain saturates somewhere in the range.
+        let scale = mantissa * f64::from(1u32 << exponent);
+        let wq: Vec<Q16> = w.iter().map(|&v| Q16::from_f64(v * scale)).collect();
+        let all = all_features_q16(&wq);
+        for kind in FeatureKind::ALL {
+            prop_assert_eq!(all[kind.index()], feature_q16(kind, &wq), "{} at scale {}", kind, scale);
+        }
     }
 
     #[test]
