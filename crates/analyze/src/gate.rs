@@ -196,14 +196,37 @@ pub fn render_findings(findings: &[Finding]) -> String {
     out
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// Reads the value of `key` on one rendered line: a string, undoing every
+/// escape [`escape`] writes, or the trimmed raw text of a number. `None`
+/// when the key is absent, the string is unterminated or an escape is
+/// malformed.
+fn field(line: &str, key: &str) -> Option<String> {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next().map(str::trim)
+    let Some(body) = rest.strip_prefix('"') else {
+        return rest.split([',', '}']).next().map(|v| v.trim().to_string());
+    };
+    let mut out = String::new();
+    let mut chars = body.chars();
+    loop {
+        match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                'n' => out.push('\n'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16)
+                        .ok()
+                        .filter(|_| hex.len() == 4)?;
+                    out.push(char::from_u32(code)?);
+                }
+                _ => return None,
+            },
+            c => out.push(c),
+        }
     }
 }
 
@@ -244,9 +267,10 @@ pub fn parse_findings(text: &str) -> Result<Vec<Finding>, String> {
             continue;
         }
         let get = |key: &str| {
-            field(line, key).ok_or_else(|| format!("line {}: missing field {key}", num + 1))
+            field(line, key)
+                .ok_or_else(|| format!("line {}: missing or malformed field {key}", num + 1))
         };
-        let severity = Severity::parse(get("severity")?)
+        let severity = Severity::parse(&get("severity")?)
             .ok_or_else(|| format!("line {}: bad severity", num + 1))?;
         let parse_f64 = |key: &str| -> Result<f64, String> {
             get(key)?
@@ -254,12 +278,12 @@ pub fn parse_findings(text: &str) -> Result<Vec<Finding>, String> {
                 .map_err(|e| format!("line {}: {key}: {e}", num + 1))
         };
         findings.push(Finding {
-            config: get("config")?.to_string(),
+            config: get("config")?,
             cell: get("cell")?
                 .parse()
                 .map_err(|e| format!("line {}: cell: {e}", num + 1))?,
-            label: get("label")?.to_string(),
-            rule: get("rule")?.to_string(),
+            label: get("label")?,
+            rule: get("rule")?,
             severity,
             bound: parse_f64("bound")?,
             interval_width: parse_f64("interval_width")?,
@@ -394,13 +418,29 @@ mod tests {
 
     #[test]
     fn labels_with_quotes_survive_the_roundtrip() {
-        let mut f = finding("default", 0, "odd", Severity::Proven);
-        f.label = "we\\ird".into();
-        let parsed = parse_findings(&render_findings(std::slice::from_ref(&f))).expect("parse");
-        // The minimal reader stops labels at the first quote, so escaped
-        // backslashes parse back escaped — stable, if not identical.
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].config, f.config);
+        let mut a = finding("c\"fg\\", 0, "we\"ird", Severity::Proven);
+        a.rule = "range.\"proven\"".into();
+        let mut b = finding("c\"fg\\", 1, "back\\slash\\", Severity::MayOverflow);
+        b.label.push_str("\n\t\u{1}\"\\\"end");
+        let original = vec![a, b];
+        let parsed = parse_findings(&render_findings(&original)).expect("parse");
+        assert_eq!(parsed, original);
+    }
+
+    #[test]
+    fn malformed_strings_are_rejected() {
+        assert_eq!(
+            field(r#"{"label": "a\u0041\"b"}"#, "label").as_deref(),
+            Some("aA\"b")
+        );
+        for bad in [
+            r#""label": "\q""#,
+            r#""label": "\u00""#,
+            r#""label": "\ud800""#,
+            r#""label": "open"#,
+        ] {
+            assert_eq!(field(bad, "label"), None, "{bad}");
+        }
     }
 
     #[test]

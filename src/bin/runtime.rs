@@ -352,10 +352,23 @@ fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
         Ok(std::str::from_utf8(&b[start..*i]).unwrap_or("").to_string())
     };
 
+    // The closing `]` may be followed by whitespace only.
+    let close = |i: &mut usize| -> Result<(), String> {
+        eat(i, b']')?;
+        ws(i);
+        if *i < b.len() {
+            return Err(format!(
+                "unexpected bytes after the closing ']' at byte {i}"
+            ));
+        }
+        Ok(())
+    };
+
     let mut tenants = Vec::new();
     eat(&mut i, b'[')?;
     ws(&mut i);
     if i < b.len() && b[i] == b']' {
+        close(&mut i)?;
         return Ok(tenants);
     }
     loop {
@@ -388,21 +401,20 @@ fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
         let nodes = nodes.ok_or_else(|| format!("tenant {name:?} missing \"nodes\""))?;
         let mut spec = TenantSpec::new(name.clone(), nodes);
         for (key, raw) in spec_of {
-            let num = |raw: &str, key: &str| -> Result<f64, String> {
-                raw.parse()
-                    .map_err(|e| format!("tenant {name:?} {key}: {e}"))
-            };
+            let err = |e: &dyn std::fmt::Display| format!("tenant {name:?} {key}: {e}");
+            let num = || raw.parse::<f64>().map_err(|e| err(&e));
+            let int = || raw.parse::<u32>().map_err(|e| err(&e));
             spec = match key.as_str() {
-                "weight" => spec.weight(num(&raw, &key)? as u32),
-                "quota_hz" => spec.quota_hz(num(&raw, &key)?),
-                "burst" | "quota_burst" => spec.quota_burst(num(&raw, &key)? as u32),
+                "weight" => spec.weight(int()?),
+                "quota_hz" => spec.quota_hz(num()?),
+                "burst" | "quota_burst" => spec.quota_burst(int()?),
                 "degrade" => spec.degrade(match raw.as_str() {
                     "true" => true,
                     "false" => false,
                     other => return Err(format!("tenant {name:?} degrade: {other:?}")),
                 }),
-                "breaker_rounds" => spec.breaker_rounds(num(&raw, &key)? as u32),
-                "cooldown_s" => spec.cooldown_s(num(&raw, &key)?),
+                "breaker_rounds" => spec.breaker_rounds(int()?),
+                "cooldown_s" => spec.cooldown_s(num()?),
                 other => return Err(format!("tenant {name:?}: unknown key {other:?}")),
             };
         }
@@ -414,7 +426,7 @@ fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
             break;
         }
     }
-    eat(&mut i, b']')?;
+    close(&mut i)?;
     Ok(tenants)
 }
 
@@ -550,6 +562,62 @@ fn main() -> ExitCode {
         Err(err) => {
             eprintln!("error: {err}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_tenants;
+
+    fn one(fields: &str) -> Result<xpro::runtime::TenantSpec, String> {
+        let mut specs = parse_tenants(&format!(r#"[{{"name": "t", "nodes": 2{fields}}}]"#))?;
+        assert_eq!(specs.len(), 1);
+        Ok(specs.remove(0))
+    }
+
+    #[test]
+    fn example_file_parses_to_its_three_specs() {
+        let specs = parse_tenants(include_str!("../../examples/tenants.json")).expect("parses");
+        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["health", "fitness", "telemetry"]);
+        assert_eq!(specs.iter().map(|s| s.nodes).sum::<usize>(), 8);
+        let fitness = &specs[1];
+        assert_eq!(
+            (fitness.weight, fitness.quota_burst, fitness.breaker_rounds),
+            (1, 4, 3)
+        );
+        assert_eq!((fitness.quota_hz, fitness.cooldown_s), (6.0, 2.0));
+        assert!(!specs[0].degrade && specs[2].degrade);
+    }
+
+    #[test]
+    fn integer_fields_accept_only_u32() {
+        let spec = one(r#", "weight": 3, "quota_burst": 5, "breaker_rounds": 0"#).expect("parses");
+        assert_eq!(
+            (spec.weight, spec.quota_burst, spec.breaker_rounds),
+            (3, 5, 0)
+        );
+        for key in ["weight", "burst", "quota_burst", "breaker_rounds"] {
+            for bad in ["2.9", "-1", "1e12", "4294967296", "2.0"] {
+                let err = one(&format!(r#", "{key}": {bad}"#)).expect_err(bad);
+                assert!(err.contains(key), "{key}={bad}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        assert_eq!(parse_tenants("[] \n\t").expect("whitespace is fine"), []);
+        assert!(parse_tenants(r#"[{"name": "t", "nodes": 1}]"#).is_ok());
+        for bad in [
+            "[]x",
+            "[] ]",
+            "[][]",
+            r#"[{"name": "t", "nodes": 1}],"#,
+            r#"[{"name": "t", "nodes": 1},]"#,
+        ] {
+            assert!(parse_tenants(bad).is_err(), "{bad}");
         }
     }
 }
