@@ -233,24 +233,35 @@ impl<'a> XProGenerator<'a> {
         // The network topology does not depend on λ: derive it once, then
         // price, solve and certify it per λ.
         let template = StTemplate::new(self.instance);
-        let push_cut = |lambda: f64,
-                        candidates: &mut Vec<(Partition, Option<CutCertificate>)>|
-         -> Result<(), XProError> {
+        let solve = |lambda: f64| -> Result<(Partition, CutCertificate), XProError> {
             let (p, cert) = template.min_cut(lambda);
             check_against(&template, &p, &cert)?;
+            Ok((p, cert))
+        };
+        // Bisect the grid: when both ends of an index range yield the same
+        // cut, so does every λ between them (DESIGN.md §7), so only the
+        // points next to a change of cut are solved. Every cut's first
+        // grid λ is such a point, so visiting the solved points in grid
+        // order adds the candidates, with their certificates, that solving
+        // every point would.
+        let grid = lambda_grid();
+        let last = grid.len() - 1;
+        let mut solved: Vec<Option<(Partition, CutCertificate)>> = vec![None; grid.len()];
+        solved[0] = Some(solve(grid[0])?);
+        solved[last] = Some(solve(grid[last])?);
+        let mut ranges = vec![(0, last)];
+        while let Some((lo, hi)) = ranges.pop() {
+            let cut = |i: usize| solved[i].as_ref().map(|(p, _)| p);
+            if hi - lo > 1 && cut(lo) != cut(hi) {
+                let mid = (lo + hi) / 2;
+                solved[mid] = Some(solve(grid[mid])?);
+                ranges.extend([(mid, hi), (lo, mid)]);
+            }
+        }
+        for (p, cert) in solved.into_iter().flatten() {
             if !candidates.iter().any(|(q, _)| *q == p) {
                 candidates.push((p, Some(cert)));
             }
-            Ok(())
-        };
-        // λ sweep: λ in pJ/s. Cell energies sit around 1e4–1e6 pJ and event
-        // delays around 1e-4–1e-3 s, so the interesting λ range brackets
-        // 1e7–1e12; sweep wider to be safe.
-        push_cut(0.0, &mut candidates)?;
-        let mut lambda = 1.0e5;
-        while lambda <= 1.0e14 {
-            push_cut(lambda, &mut candidates)?;
-            lambda *= 3.0;
         }
         // Tolerate floating-point noise in the measured delay: the
         // single-end designs define the limit, so they must stay feasible.
@@ -278,6 +289,20 @@ impl<'a> XProGenerator<'a> {
         verify_plan(self.instance, &winner.0, winner.1.as_ref(), t_limit_s)?;
         Ok(winner)
     }
+}
+
+/// The Lagrangian sweep's λ grid in pJ/s: 0, then 1e5·3^k up to 1e14.
+/// Cell energies sit around 1e4–1e6 pJ and event delays around
+/// 1e-4–1e-3 s, so the interesting λ range brackets 1e7–1e12; the grid
+/// is wider to be safe.
+fn lambda_grid() -> Vec<f64> {
+    let mut grid = vec![0.0];
+    let mut lambda = 1.0e5;
+    while lambda <= 1.0e14 {
+        grid.push(lambda);
+        lambda *= 3.0;
+    }
+    grid
 }
 
 /// Generator re-entry for runtime adaptation: re-prices `instance` under a

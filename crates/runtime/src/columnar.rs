@@ -42,6 +42,9 @@ use xpro_core::XProError;
 const MAGIC: &[u8; 8] = b"XPCOL1\0\0";
 /// Tail magic, last 8 bytes of the file.
 const TAIL: &[u8; 8] = b"XPCFOOT\0";
+/// Footer bytes of an entry with an empty name: `name_len`, type tag,
+/// `offset`, `byte_len`, `rows`.
+const MIN_ENTRY_BYTES: usize = 8 + 1 + 8 + 8 + 8;
 
 /// One typed column of values.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,13 +178,21 @@ impl ColumnBatch {
     ///
     /// # Errors
     ///
-    /// Returns [`XProError::Config`] for wrong magic, a truncated footer
-    /// or a malformed column entry.
+    /// Returns [`XProError::Config`] for wrong magic, a truncated footer,
+    /// a malformed column entry or columns of unequal length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, XProError> {
         let index = ColumnIndex::parse(bytes)?;
         let mut batch = ColumnBatch::new();
         for entry in &index.entries {
             let data = index.read_entry(bytes, entry)?;
+            if !batch.columns.is_empty() && data.rows() != batch.rows() {
+                return Err(XProError::config(format!(
+                    "column {:?} has {} rows, the batch {}",
+                    entry.name,
+                    data.rows(),
+                    batch.rows()
+                )));
+            }
             batch.push(entry.name.clone(), data);
         }
         Ok(batch)
@@ -257,17 +268,23 @@ impl ColumnIndex {
             .ok_or_else(|| bad("footer length exceeds file"))?;
         let mut cur = footer_start;
         let mut take = |n: usize| -> Result<&[u8], XProError> {
-            if cur + n > len_at {
-                return Err(bad("truncated footer"));
-            }
-            let s = &bytes[cur..cur + n];
-            cur += n;
+            let end = cur
+                .checked_add(n)
+                .filter(|&end| end <= len_at)
+                .ok_or_else(|| bad("truncated footer"))?;
+            let s = &bytes[cur..end];
+            cur = end;
             Ok(s)
         };
         let mut word = [0u8; 8];
         word.copy_from_slice(take(8)?);
-        let ncols = u64::from_le_bytes(word) as usize;
-        let mut entries = Vec::with_capacity(ncols);
+        let ncols = u64::from_le_bytes(word);
+        // Each entry takes at least `MIN_ENTRY_BYTES` of footer, which
+        // bounds the allocation by the file's own size.
+        if ncols > ((len_at - footer_start - 8) / MIN_ENTRY_BYTES) as u64 {
+            return Err(bad("column count exceeds footer"));
+        }
+        let mut entries = Vec::with_capacity(ncols as usize);
         for _ in 0..ncols {
             word.copy_from_slice(take(8)?);
             let name_len = u64::from_le_bytes(word) as usize;
@@ -303,15 +320,17 @@ impl ColumnIndex {
     /// Returns [`XProError::Config`] when the entry's range falls outside
     /// the file or the payload is malformed.
     pub fn read_entry(&self, bytes: &[u8], entry: &ColumnEntry) -> Result<ColumnData, XProError> {
-        let start = entry.offset as usize;
-        let end = start + entry.byte_len as usize;
-        if end > bytes.len() {
-            return Err(XProError::config(format!(
-                "column {:?} range {start}..{end} exceeds file of {} bytes",
-                entry.name,
-                bytes.len()
-            )));
-        }
+        let (start, byte_len) = (entry.offset as usize, entry.byte_len as usize);
+        let end = start
+            .checked_add(byte_len)
+            .filter(|&end| end <= bytes.len())
+            .ok_or_else(|| {
+                XProError::config(format!(
+                    "column {:?} range {start}+{byte_len} exceeds file of {} bytes",
+                    entry.name,
+                    bytes.len()
+                ))
+            })?;
         let data = ColumnData::from_payload(entry.type_tag, &bytes[start..end])?;
         if data.rows() as u64 != entry.rows {
             return Err(XProError::config(format!(

@@ -16,13 +16,14 @@
 //!    same effective configuration reuse the memoized cut (after it
 //!    re-passes certificate verification) instead of re-running the
 //!    λ-sweep;
-//! 3. before committing, every feasible re-plan is re-verified at the
-//!    commit point through [`xpro_core::verify_plan`]: the max-flow/min-cut
-//!    witness attached by the generator is checked edge by edge and the
-//!    delay bound is re-derived independently of the planner's evaluator.
-//!    Certified plans are applied at the next segment boundary (tier
-//!    [`Tier::Normal`]) and counted in [`PlanAudit::certified`]; a plan
-//!    whose certificate fails is *not* trusted — it is counted in
+//! 3. every re-plan the cache hands out has passed
+//!    [`xpro_core::verify_plan`] once, against the repriced instance and
+//!    the baseline limit: the max-flow/min-cut witness attached by the
+//!    generator is checked edge by edge and the delay bound is re-derived
+//!    independently of the planner's evaluator. Certified plans are
+//!    applied at the next segment boundary (tier [`Tier::Normal`]) and
+//!    counted in [`PlanAudit::certified`]; a plan whose certificate fails
+//!    ([`XProError::Certificate`]) is *not* trusted — it is counted in
 //!    [`PlanAudit::rejected`] and treated exactly like an infeasible
 //!    re-plan;
 //! 4. if no certified cut meets the
@@ -43,7 +44,7 @@ use crate::config::RuntimeConfig;
 use xpro_core::generator::XProGenerator;
 use xpro_core::instance::XProInstance;
 use xpro_core::partition::Partition;
-use xpro_core::{segment_profile, verify_plan, PlanCache, PlanCacheStats};
+use xpro_core::{segment_profile, PlanCache, PlanCacheStats, XProError};
 use xpro_wireless::{EffectiveEnergyEstimator, TransferSample};
 
 /// Degradation tier the fleet is operating in.
@@ -87,8 +88,8 @@ pub struct PartitionSwitch {
 /// Outcome counts of the controller's plan-certification gate.
 ///
 /// Every feasible re-plan the generator proposes mid-run carries a
-/// max-flow/min-cut certificate; the controller re-checks it (and
-/// independently re-derives the delay bound) before committing the cut.
+/// max-flow/min-cut certificate; it is checked (and the delay bound
+/// independently re-derived) once before the controller commits the cut.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanAudit {
     /// Epoch plans whose cut certificate and delay bound verified.
@@ -250,22 +251,20 @@ impl Controller {
         self.last_decision_s = now_s;
         self.planned_factor = factor;
         let radio = instance.config().radio.derated(factor);
-        // A feasible re-plan is only trusted once its min-cut certificate
-        // checks out against an independently rebuilt network and the delay
-        // bound re-derives under the limit; a plan that fails the gate is
-        // treated exactly like an infeasible one.
+        // The plan cache hands out a plan only after `verify_plan` passed
+        // against the repriced instance and this limit (on a hit by the
+        // cache, on a miss by the generator): its min-cut certificate
+        // checked out against an independently rebuilt network and the
+        // delay bound re-derived under the limit. A plan that fails the
+        // gate is treated exactly like an infeasible one.
         let certified_cut = match self.cache.replan(instance, radio, self.baseline_limit_s) {
-            Ok((repriced, cut, cert)) => {
-                match verify_plan(&repriced, &cut, cert.as_ref(), self.baseline_limit_s) {
-                    Ok(()) => {
-                        self.audit.certified += 1;
-                        Some(cut)
-                    }
-                    Err(_) => {
-                        self.audit.rejected += 1;
-                        None
-                    }
-                }
+            Ok((_, cut, _)) => {
+                self.audit.certified += 1;
+                Some(cut)
+            }
+            Err(XProError::Certificate(_)) => {
+                self.audit.rejected += 1;
+                None
             }
             Err(_) => None,
         };

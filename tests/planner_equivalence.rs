@@ -12,10 +12,15 @@ use xpro::battery::BatteryModel;
 use xpro::core::approx::{assignment_for_graph, ApproxLevel};
 use xpro::core::builder::{build_full_cell_graph, BuildOptions};
 use xpro::core::cellgraph::{CellGraph, CellId, PortRef};
-use xpro::core::stgraph::build_network;
+use xpro::core::stgraph::{build_network, certified_min_cut_partition};
 use xpro::core::testutil::tiny_instance;
-use xpro::core::{AggregatorModel, PlanCache, SystemConfig, XProGenerator, XProInstance};
+use xpro::core::{
+    evaluate, AggregatorModel, CutCertificate, Partition, PipelineConfig, PlanCache, SystemConfig,
+    XProGenerator, XProInstance, XProPipeline,
+};
+use xpro::data::{generate_case_sized, CaseId};
 use xpro::hw::{ApproxConfig, ProcessNode};
+use xpro::ml::SubspaceConfig;
 use xpro::wireless::TransceiverModel;
 
 /// FNV-1a over little-endian `u64` words.
@@ -44,6 +49,138 @@ fn lambdas() -> Vec<f64> {
         lambda *= 3.0;
     }
     out
+}
+
+/// The generator's selection rule over a full sweep: the single-end and
+/// trivial designs, then every distinct grid cut in grid order with the
+/// certificate of the first λ that yields it; the first minimum of sensor
+/// energy among the numerically valid candidates that meet the limit.
+fn full_sweep_plan(
+    inst: &XProInstance,
+    cuts: &[(Partition, CutCertificate)],
+    limit_s: f64,
+) -> Option<(Partition, Option<CutCertificate>)> {
+    let gen = XProGenerator::new(inst);
+    let n = inst.num_cells();
+    let mut candidates = vec![
+        (Partition::all_aggregator(n), None),
+        (Partition::all_sensor(n), None),
+        (gen.trivial_cut(), None),
+    ];
+    for (p, cert) in cuts {
+        if !candidates.iter().any(|(q, _)| q == p) {
+            candidates.push((p.clone(), Some(cert.clone())));
+        }
+    }
+    let mut best: Option<(f64, Partition, Option<CutCertificate>)> = None;
+    for (p, cert) in candidates {
+        let e = evaluate(inst, &p);
+        let feasible = e.delay.total_s() <= limit_s + limit_s * 1e-9;
+        let energy = e.sensor.total_pj();
+        if gen.numerically_valid(&p) && feasible && best.as_ref().is_none_or(|b| energy < b.0) {
+            best = Some((energy, p, cert));
+        }
+    }
+    best.map(|(_, p, cert)| (p, cert))
+}
+
+/// Holds the generator to the full sweep on `base` re-priced under each
+/// derated radio, at each limit relative to `base`'s default limit.
+/// Returns how many requests were planned.
+fn check_against_full_sweep(tag: &str, base: &XProInstance) -> usize {
+    let default_s = XProGenerator::new(base).default_delay_limit();
+    let mut planned = 0;
+    for derate in [1.0, 1.1, 1.5, 2.0, 4.0, 8.0] {
+        let config = SystemConfig {
+            radio: base.config().radio.derated(derate),
+            ..base.config().clone()
+        };
+        let inst = base.reconfigured(config).expect("reconfigures");
+        let cuts: Vec<_> = lambdas()
+            .into_iter()
+            .map(|lambda| certified_min_cut_partition(&inst, lambda))
+            .collect();
+        for factor in [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0] {
+            let limit_s = factor * default_s;
+            let tag = format!("{tag} derate {derate} limit {factor}x");
+            let got = XProGenerator::new(&inst).delay_constrained_cut_certified(limit_s);
+            let want = full_sweep_plan(&inst, &cuts, limit_s);
+            let ((p, cert), (want_p, want_cert)) = match (got, want) {
+                (Ok(got), Some(want)) => (got, want),
+                (Err(_), None) => continue,
+                (got, want) => panic!(
+                    "{tag}: feasibility {:?} vs {:?}",
+                    got.is_ok(),
+                    want.is_some()
+                ),
+            };
+            planned += 1;
+            assert_eq!(p, want_p, "{tag}: partition");
+            assert_eq!(
+                cert.as_ref()
+                    .map(|c| (c.lambda_pj_per_s.to_bits(), &c.witness)),
+                want_cert
+                    .as_ref()
+                    .map(|c| (c.lambda_pj_per_s.to_bits(), &c.witness)),
+                "{tag}: certificate"
+            );
+        }
+    }
+    planned
+}
+
+/// The Table-1 cases as `plan_sweep` trains them: 240 segments of the
+/// seed-1 datasets, the 24-candidate harness ensemble.
+fn table1_instances() -> Vec<(CaseId, XProInstance)> {
+    let cfg = PipelineConfig::builder()
+        .subspace(SubspaceConfig {
+            candidates: 24,
+            features_per_base: 12,
+            keep_fraction: 0.25,
+            min_keep: 4,
+            folds: 3,
+            ..SubspaceConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    CaseId::ALL
+        .iter()
+        .map(|&case| {
+            let data = generate_case_sized(case, 240, 1);
+            let pipeline = XProPipeline::train(&data, &cfg).expect("trains");
+            let inst = XProInstance::try_new(
+                pipeline.built().clone(),
+                SystemConfig::default(),
+                pipeline.segment_len(),
+            )
+            .expect("valid instance");
+            (case, inst)
+        })
+        .collect()
+}
+
+#[test]
+fn bisected_sweep_plans_like_the_full_sweep() {
+    let mut planned = 0;
+    for seed in 0..16 {
+        planned += check_against_full_sweep(&format!("tiny {seed}"), &tiny_instance(seed));
+    }
+    for (case, inst) in table1_instances() {
+        for node in ProcessNode::ALL {
+            for radio in TransceiverModel::paper_models() {
+                let tag = format!("{case:?} {node:?} {}", radio.name());
+                let config = SystemConfig::builder()
+                    .node(node)
+                    .radio(radio)
+                    .build()
+                    .expect("valid config");
+                let base = inst.reconfigured(config).expect("reconfigures");
+                planned += check_against_full_sweep(&tag, &base);
+            }
+        }
+    }
+    // Most requests are feasible, so the comparison is not vacuous.
+    assert!(planned > 1500, "only {planned} requests planned");
 }
 
 /// Digests of the networks and certified plans of `tiny_instance` seeds
