@@ -1,14 +1,18 @@
 //! Wall-clock trajectory of the streaming executor and the generator,
 //! written to `BENCH_runtime.json` at the workspace root.
 //!
-//! Sections: fixed executor scenarios at zero loss and under fault
-//! injection, a nodes × shards scaling sweep, a tenants × nodes admission
-//! sweep, per-node telemetry memory, the approximate planner's
-//! quality–energy frontier, and the generator's runtime on synthetic cell
-//! graphs of growing size (ablation A5). Every timed row records the
+//! Sections: a host reference kernel, fixed executor scenarios at zero
+//! loss and under fault injection, a nodes × shards scaling sweep, a
+//! tenants × nodes admission sweep, per-node telemetry memory, the
+//! approximate planner's quality–energy frontier, and the generator's
+//! runtime on synthetic cell graphs of growing size (ablation A5). Every timed row records the
 //! min/median/max wall-ns of at least three runs; the deterministic
 //! fields (segment counts, telemetry bytes, the quality–energy rows) are
-//! identical on every host.
+//! identical on every host. The `host_reference` row times a fixed
+//! kernel that calls nothing in the repository, five times before the
+//! other sections and five times after: rows from files generated at
+//! different times compare after scaling by its median, and its spread
+//! shows how far the host's speed drifted during the run.
 //!
 //! Run: `cargo run --release -p xpro-bench --bin bench_runtime`
 
@@ -62,6 +66,56 @@ fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (Vec<f64>, T) {
         samples.push(start.elapsed().as_nanos() as f64);
     }
     (samples, last)
+}
+
+/// A fixed host-speed kernel: register arithmetic, a dependent random
+/// walk over a 32 MiB table (far beyond L2, like the fleet state the
+/// executor walks) and a sequential read of that table. Only the host
+/// can change its cost.
+struct HostReference {
+    next: Vec<u32>,
+    at: u32,
+}
+
+impl HostReference {
+    /// Builds the walk table, one random cycle through every entry
+    /// (Sattolo's algorithm over a fixed xorshift stream).
+    fn new() -> Self {
+        let mut next: Vec<u32> = (0..1u32 << 23).collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..next.len()).rev() {
+            x = xorshift(x);
+            next.swap(i, (x % i as u64) as usize);
+        }
+        HostReference { next, at: 0 }
+    }
+
+    /// Wall-ns of `reps` timed kernel runs after an untimed one.
+    fn samples(&mut self, reps: usize) -> Vec<f64> {
+        timed(reps, || {
+            let (mut a, mut f) = (0x2545_f491_4f6c_dd1du64, 1.0f64);
+            for i in 0..4_000_000u64 {
+                a = xorshift(a);
+                f = f.mul_add(1.000_000_1, (a & 0xff) as f64 * 1e-9) - (i & 1) as f64 * 1e-12;
+            }
+            for _ in 0..100_000 {
+                self.at = self.next[self.at as usize];
+            }
+            let sum = self
+                .next
+                .iter()
+                .fold(0u64, |s, &v| s.wrapping_add(u64::from(v)));
+            (a, f, self.at, sum)
+        })
+        .0
+    }
+}
+
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
 }
 
 /// A quickly trained pipeline on `segments` segments of `case`, with its
@@ -408,12 +462,14 @@ fn generator_scaling_entries() -> Vec<String> {
 }
 
 fn main() -> std::io::Result<()> {
+    let mut reference = HostReference::new();
+    let mut reference_ns = reference.samples(5);
     let (_, pipeline) = train(CaseId::C1, 60, 12);
     let segment_len = pipeline.segment_len();
     let inst = XProInstance::try_new(pipeline.into_built(), SystemConfig::default(), segment_len)
         .expect("valid instance");
     let cut = XProGenerator::new(&inst).generate().expect("cross-end cut");
-    let sections = [
+    let mut sections = vec![
         ("scenarios", scenario_entries(&inst, &cut)),
         ("shard_sweep", shard_sweep_entries(&inst, &cut)),
         ("tenant_sweep", tenant_sweep_entries(&inst, &cut)),
@@ -421,6 +477,13 @@ fn main() -> std::io::Result<()> {
         ("quality_energy_sweep", quality_energy_entries()),
         ("generator_scaling", generator_scaling_entries()),
     ];
+    reference_ns.extend(reference.samples(5));
+    let kernel = "4e6 xorshift+fma steps, 1e5-step walk and one read of a 32 MiB table";
+    let row = format!(
+        "    {{\"kernel\": \"{kernel}\", {}}}",
+        wall_ns_json(&reference_ns)
+    );
+    sections.insert(0, ("host_reference", vec![row]));
     let body: Vec<String> = sections
         .iter()
         .map(|(name, rows)| format!("  \"{name}\": [\n{}\n  ]", rows.join(",\n")))

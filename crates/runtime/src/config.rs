@@ -179,15 +179,28 @@ impl RuntimeConfig {
     /// # Errors
     ///
     /// Returns [`XProError::Config`] when any field is out of range: zero
-    /// nodes, non-positive duration or timeout, probabilities outside their
-    /// unit ranges, a non-positive burst slot, negative lifecycle times, an
-    /// outage at least as long as its period, a zero inbox, a hysteresis
-    /// band not above 1, or a negative/non-finite backoff, dwell or batch
-    /// overhead.
+    /// nodes or more than `u32::MAX` (node ids are `u32`), more than
+    /// 65 536 tenants (tenant ids are `u16`), non-positive duration or
+    /// timeout, probabilities outside their unit ranges, a non-positive
+    /// burst slot, negative lifecycle times, an outage at least as long as
+    /// its period, a zero inbox, a hysteresis band not above 1, or a
+    /// negative/non-finite backoff, dwell or batch overhead.
     pub fn validate(&self) -> Result<(), XProError> {
         let c = self;
         if c.nodes == 0 {
             return Err(XProError::config("fleet needs at least one node"));
+        }
+        if u32::try_from(c.nodes).is_err() {
+            return Err(XProError::config(format!(
+                "fleet of {} nodes exceeds the u32 node ids",
+                c.nodes
+            )));
+        }
+        if c.tenants.len() > usize::from(u16::MAX) + 1 {
+            return Err(XProError::config(format!(
+                "{} tenants exceed the u16 tenant ids",
+                c.tenants.len()
+            )));
         }
         if !(c.duration_s.is_finite() && c.duration_s > 0.0) {
             return Err(XProError::config(format!(
@@ -545,6 +558,33 @@ mod tests {
             .battery_budget_pj(f64::NAN)
             .build()
             .is_err());
+    }
+
+    /// Sizes a hostile `--tenants` table or CLI could ask for are refused
+    /// as configuration errors before anything is allocated for them.
+    #[test]
+    fn oversized_fleets_and_tenant_tables_are_config_errors() {
+        let config_err = |b: RuntimeConfigBuilder| matches!(b.build(), Err(XProError::Config(_)));
+        let nodes = u32::MAX as usize + 1;
+        assert!(config_err(RuntimeConfig::builder().nodes(nodes)));
+        let tenants: Vec<_> = (0..=65_536)
+            .map(|i| TenantSpec::new(format!("t{i}"), 1))
+            .collect();
+        assert!(config_err(
+            RuntimeConfig::builder()
+                .nodes(65_537)
+                .tenants(tenants.clone())
+        ));
+        assert!(RuntimeConfig::builder()
+            .nodes(65_536)
+            .tenants(tenants[..65_536].to_vec())
+            .build()
+            .is_ok());
+        // Node counts whose sum wraps `usize` to the fleet size.
+        let wrapping = vec![TenantSpec::new("a", usize::MAX), TenantSpec::new("b", 3)];
+        assert!(config_err(
+            RuntimeConfig::builder().nodes(2).tenants(wrapping)
+        ));
     }
 
     #[test]

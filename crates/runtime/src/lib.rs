@@ -11,8 +11,8 @@
 //! virtual-time discrete-event simulation:
 //!
 //! * per-node segment windowing at the configured sampling rate, sharded
-//!   by node across per-core event wheels ([`shard`]) with deterministic
-//!   barrier merges — reports are bit-identical for any shard count;
+//!   by node into per-core shards simulated node by node ([`shard`]) with
+//!   deterministic barrier merges — reports are bit-identical for any shard count;
 //! * per-cell sensor/aggregator execution using the instance's energy and
 //!   delay prices (the same numbers as `xpro_core::partition::evaluate`);
 //! * each node's wireless radio as a lossy half-duplex link

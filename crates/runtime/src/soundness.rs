@@ -414,7 +414,7 @@ pub fn check_report(
     }
     // `peak_inbox` is measured on the *merged* inbox — the aggregator
     // phase runs single-threaded in the executor regardless of how many
-    // event wheels simulated the fleet — so the static queue bound is
+    // shards simulated the fleet — so the static queue bound is
     // checked against the same quantity for every shard count.
     if let Some(bound) = timing.queue_bound {
         if report.aggregator.peak_inbox > bound {

@@ -145,11 +145,12 @@ pub(crate) fn validate_tenants(tenants: &[TenantSpec], nodes: usize) -> Result<(
         return Ok(());
     }
     let mut covered = 0usize;
+    let mut names = std::collections::BTreeSet::new();
     for (i, t) in tenants.iter().enumerate() {
         if t.name.is_empty() {
             return Err(XProError::config(format!("tenant {i} has an empty name")));
         }
-        if tenants[..i].iter().any(|o| o.name == t.name) {
+        if !names.insert(t.name.as_str()) {
             return Err(XProError::config(format!(
                 "duplicate tenant name {:?}",
                 t.name
@@ -185,7 +186,9 @@ pub(crate) fn validate_tenants(tenants: &[TenantSpec], nodes: usize) -> Result<(
                 t.name
             )));
         }
-        covered += t.nodes;
+        covered = covered.checked_add(t.nodes).ok_or_else(|| {
+            XProError::config(format!("tenant {:?}: node counts overflow", t.name))
+        })?;
     }
     if covered != nodes {
         return Err(XProError::config(format!(

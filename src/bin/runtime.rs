@@ -43,7 +43,7 @@ options:
                       abandoned (default 3)
   --timeout <S>       per-segment deadline in seconds (default 1)
   --seed <N>          fault-injection RNG seed (default 1)
-  --shards <N|auto>   event wheels the fleet is sharded across; an
+  --shards <N|auto>   node ranges the fleet is sharded across; an
                       execution knob only — reports are bit-identical
                       for any value (default auto: one per core)
 
@@ -604,6 +604,23 @@ mod tests {
                 assert!(err.contains(key), "{key}={bad}: {err}");
             }
         }
+    }
+
+    /// Node counts that parse but wrap `usize` when summed reach the
+    /// config as an error, not as a panic in the tenancy layer.
+    #[test]
+    fn wrapping_tenant_node_counts_are_config_errors() {
+        let specs =
+            parse_tenants(r#"[{"name":"a","nodes":18446744073709551615},{"name":"b","nodes":3}]"#)
+                .expect("parses");
+        let built = xpro::runtime::RuntimeConfig::builder()
+            .nodes(2)
+            .tenants(specs)
+            .build();
+        assert!(
+            matches!(built, Err(xpro::core::XProError::Config(_))),
+            "{built:?}"
+        );
     }
 
     #[test]

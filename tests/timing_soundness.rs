@@ -105,7 +105,7 @@ proptest! {
     /// Sharding must not loosen the calculus: the same static bounds that
     /// dominate a 1-shard run dominate every sharded run — in particular
     /// `peak_inbox` bounds the *merged* aggregator inbox, which is a
-    /// single global queue regardless of how many event wheels fed it.
+    /// single global queue regardless of how many shards fed it.
     #[test]
     fn static_bounds_dominate_sharded_runs(
         seed in 0u64..10_000,
