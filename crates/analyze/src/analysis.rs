@@ -8,7 +8,7 @@
 //! * the *interval* domain ([`Interval`]) mirrors the Q16.16 semantics
 //!   exactly — same rounding, same rails, same operation order as the
 //!   concrete kernels;
-//! * the *affine* domain ([`AffineForm`](crate::affine::AffineForm))
+//! * the *affine* domain ([`AffineForm`])
 //!   tracks correlations through noise symbols, so `x - mean` cancels
 //!   instead of widening and squares stay one-sided; Q16.16 rounding is
 //!   covered by the ulp error envelope, which inflates every rail check.

@@ -1,6 +1,6 @@
 //! Machine-readable analysis findings and baseline regression gating.
 //!
-//! The `analyze` CLI can serialize an [`AnalysisReport`](crate::AnalysisReport)
+//! The `analyze` CLI can serialize an [`AnalysisReport`]
 //! into a stable, sorted JSON findings document: one finding per cell with a
 //! rule id, severity, worst bound, and both domains' envelope widths. The
 //! format is deliberately deterministic — findings sorted by `(config,

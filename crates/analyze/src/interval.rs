@@ -2,7 +2,7 @@
 //!
 //! An [`Interval`] bounds every value a signal can take on one port of the
 //! cell graph, in raw Q16.16 representation. Transfer functions mirror the
-//! corresponding [`Q16`](xpro_signal::fixed::Q16) operations *including their
+//! corresponding [`Q16`] operations *including their
 //! rounding*, so the abstract result always contains the concrete one:
 //! rounding in `saturating_mul`/`saturating_div` is monotone, hence applying
 //! the concrete op to interval endpoints yields sound bounds.

@@ -6,7 +6,7 @@
 //! computes: a small ladder of per-cell [`ApproxConfig`] assignments
 //! (truncated sensor multipliers, a skipped deepest DWT level, pruned
 //! ensemble members) is screened by the static approximation-budget
-//! calculus ([`analyze_approx_budget`]), priced with the approximate
+//! calculus ([`analyze_approx_budget`](xpro_analyze::approx::analyze_approx_budget)), priced with the approximate
 //! kernels, re-partitioned under the *same* delay limit as the exact
 //! plan, and cross-validated against a classification-accuracy floor.
 //! The cheapest rung that survives all three checks wins; otherwise the
@@ -268,7 +268,8 @@ struct ScoreKey {
 ///   datapaths — is built once, and once more with the deepest DWT level
 ///   skipped only if an assignment asks for it.
 /// * A base's scores over all segments are computed once per distinct
-///   [`ScoreKey`] and reused by every later cut that leaves them
+///   score key — the base, its SVM cell's placement and knob, its
+///   feature cells' placements and the DWT skip — and reused by every later cut that leaves them
 ///   unchanged.
 ///
 /// Every score equals [`XProPipeline::base_scores_q16_approx`] on the same

@@ -3,12 +3,10 @@
 //! The paper's key algorithmic move (§3.2) is formulating functional-cell
 //! partitioning as a standard graph problem: an s-t graph whose min-cut
 //! capacity equals the sensor-node energy of the induced partition. This
-//! crate provides the machinery:
-//!
-//! * [`dinic`] — Dinic's max-flow / min-cut on real-valued capacities with
-//!   infinite-capacity ("grouped cells") edges;
-//! * [`dag`] — topological ordering and weighted critical paths, used to
-//!   evaluate the end-to-end delay of a partitioned engine.
+//! crate provides the machinery: [`dinic`], Dinic's max-flow / min-cut on
+//! real-valued capacities with infinite-capacity ("grouped cells") edges.
+//! The end-to-end delay of a partition is not a graph computation: it is
+//! the sum of three serialized phases, `xpro_core::SegmentProfile::delay_s`.
 //!
 //! # Examples
 //!
@@ -34,8 +32,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod dag;
 pub mod dinic;
 
-pub use dag::{CycleError, WeightedDag};
 pub use dinic::{FlowNetwork, MinCut, NodeId, INF};

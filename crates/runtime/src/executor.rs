@@ -56,7 +56,6 @@ use crate::config::RuntimeConfig;
 use crate::controller::{Controller, PartitionSwitch, PlanAudit, TierTimes};
 use crate::lifecycle::OutageSchedule;
 use crate::link::LossyLink;
-use crate::metrics::MetricsRegistry;
 use crate::report::{AggregatorReport, LatencyStats, NodeReport, RunReport, TenantReport};
 use crate::shard::{burst_profile, AggJobRec, Obs, ShardSim};
 use crate::sketch::QuantileSketch;
@@ -170,8 +169,7 @@ impl<'a> FleetSpec<'a> {
 }
 
 /// Validating builder of a [`FleetExecutor`]: execution knobs (shard
-/// count) and late configuration overrides (seed, adaptive) on top of a
-/// [`FleetSpec`].
+/// count, timestep recording) on top of a [`FleetSpec`].
 ///
 /// ```
 /// use xpro_runtime::{ExecutorBuilder, FleetSpec, RuntimeConfig, ShardCount};
@@ -183,10 +181,9 @@ impl<'a> FleetSpec<'a> {
 /// # let built = build_full_cell_graph(&BuildOptions::default(), 1, 4);
 /// # let instance = XProInstance::try_new(built, SystemConfig::default(), 128)?;
 /// # let partition = XProGenerator::new(&instance).generate()?;
-/// let cfg = RuntimeConfig::builder().nodes(4).duration_s(0.5).build()?;
+/// let cfg = RuntimeConfig::builder().nodes(4).duration_s(0.5).seed(7).build()?;
 /// let handle = ExecutorBuilder::new(FleetSpec::new(&instance, &partition, cfg)?)
 ///     .shards(ShardCount::Auto)
-///     .seed(7)
 ///     .build()?
 ///     .run();
 /// assert!(handle.report.total_completed() > 0);
@@ -228,33 +225,18 @@ impl<'a> ExecutorBuilder<'a> {
         self
     }
 
-    /// Overrides the fault-injection seed of the spec's configuration.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.config.seed = seed;
-        self
-    }
-
-    /// Overrides whether the adaptive partition controller runs.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.spec.config.adaptive = adaptive;
-        self
-    }
-
-    /// Validates the combination and resolves the shard count.
+    /// Resolves the shard count. The configuration was validated by
+    /// [`FleetSpec::new`].
     ///
     /// # Errors
     ///
-    /// Returns [`XProError::Config`] for a fixed shard count of zero, or
-    /// when an override produced a configuration that no longer validates
-    /// (e.g. [`ExecutorBuilder::adaptive`] enabled over an invalid
-    /// controller setup).
+    /// Returns [`XProError::Config`] for a fixed shard count of zero.
     pub fn build(self) -> Result<FleetExecutor<'a>, XProError> {
         if self.shards == ShardCount::Fixed(0) {
             return Err(XProError::config(
                 "shard count must be at least 1 (or ShardCount::Auto)",
             ));
         }
-        self.spec.config.validate()?;
         let shards = self.shards.resolve(self.spec.config.nodes);
         Ok(FleetExecutor {
             spec: self.spec,
@@ -712,7 +694,6 @@ impl FleetExecutor<'_> {
         let mut controller = cfg
             .adaptive
             .then(|| Controller::new(instance, self.spec.partition, cfg));
-        let mut metrics = MetricsRegistry::new();
         let outage = OutageSchedule::new(cfg.agg_outage_period_s, cfg.agg_outage_s);
         let mut agg = AggPhase::new(cfg.nodes);
 
@@ -779,7 +760,6 @@ impl FleetExecutor<'_> {
                 // tenant order; a policy change re-broadcasts every
                 // node's (degraded, shed) pair to its shard.
                 if tn.barrier_round(t_k) {
-                    metrics.inc("tenant_policy_changes", 1);
                     for sh in &mut shards {
                         for local in 0..sh.cores.len() {
                             let node = sh.first_node + local as u32;
@@ -812,7 +792,7 @@ impl FleetExecutor<'_> {
         let telemetry_bytes: u64 = agg.sketches.iter().map(|s| s.mem_bytes() as u64).sum();
         let timesteps = recorder.map(TimestepRecorder::into_batch);
         let report = self.digest(
-            &shards, &outage, metrics, agg, tenancy, switches, tier_times, plan_audit, plan_cache,
+            &shards, &outage, agg, tenancy, switches, tier_times, plan_audit, plan_cache,
         );
         RunHandle {
             report,
@@ -827,7 +807,6 @@ impl FleetExecutor<'_> {
         &self,
         shards: &[ShardSim],
         outage: &OutageSchedule,
-        mut metrics: MetricsRegistry,
         agg: AggPhase,
         tenancy: Option<Tenancy>,
         switches: Vec<PartitionSwitch>,
@@ -871,31 +850,11 @@ impl FleetExecutor<'_> {
         let mut node_reports: Vec<NodeReport> = Vec::with_capacity(cfg.nodes);
         let mut channel_busy_s = 0.0;
         let mut agg_rx_pj = 0.0;
-        let mut crashes_total = 0u64;
-        let mut offered = 0u64;
-        let mut lost_to_crash = 0u64;
-        let mut shed = 0u64;
-        let mut timed_out = 0u64;
-        let mut dropped = 0u64;
-        let mut frame_attempts = 0u64;
-        let mut frame_drops = 0u64;
-        let mut retries = 0u64;
-        let mut depletions = 0u64;
         for sh in shards {
             for (local, core) in sh.cores.iter().enumerate() {
                 let node = sh.first_node as usize + local;
                 channel_busy_s += sh.links[local].busy_s();
                 agg_rx_pj += core.agg_rx_pj;
-                crashes_total += sh.lives[local].crashes();
-                offered += core.offered;
-                lost_to_crash += core.lost_to_crash;
-                shed += core.shed;
-                timed_out += core.timed_out;
-                dropped += core.dropped;
-                frame_attempts += core.frame_attempts;
-                frame_drops += core.frame_drops;
-                retries += core.retries;
-                depletions += u64::from(core.depleted);
                 let total_pj = core.compute_pj + core.wireless_pj;
                 let avg_power_w = total_pj * 1e-12 / duration;
                 let battery = &sys.sensor_battery;
@@ -924,38 +883,9 @@ impl FleetExecutor<'_> {
                 });
             }
         }
-        let completed = agg.completed.iter().sum();
         let inbox_overflows = agg.overflowed.iter().sum();
         let admission_rejected = agg.admission_rejected.iter().sum();
         let quarantine_dropped = agg.quarantined.iter().sum();
-        // Terminal counters merge by sum; a counter appears only when its
-        // event occurred.
-        for (name, value) in [
-            ("segments_offered", offered),
-            ("segments_completed", completed),
-            ("inbox_overflows", inbox_overflows),
-            ("admission_rejected", admission_rejected),
-            ("quarantine_dropped", quarantine_dropped),
-            ("segments_lost_to_crash", lost_to_crash),
-            ("segments_shed", shed),
-            ("segments_timed_out", timed_out),
-            ("segments_dropped", dropped),
-            ("frame_attempts", frame_attempts),
-            ("frame_drops", frame_drops),
-            ("retries", retries),
-            ("battery_depletions", depletions),
-            ("crashes", crashes_total),
-            ("partition_switches", switches.len() as u64),
-            ("plans_certified", plan_audit.certified),
-            ("plans_rejected", plan_audit.rejected),
-            ("plan_cache_hits", plan_cache.hits),
-            ("plan_cache_misses", plan_cache.misses),
-            ("plan_cache_rejected", plan_cache.rejected),
-        ] {
-            if value > 0 {
-                metrics.inc(name, value);
-            }
-        }
 
         // Per-tenant digests: node-order folds over the tenant's range
         // plus the admission layer's own counters and tier history.
@@ -967,22 +897,6 @@ impl FleetExecutor<'_> {
                 let t_offered: u64 = range.iter().map(|n| n.segments_offered).sum();
                 let t_completed: u64 = range.iter().map(|n| n.segments_completed).sum();
                 let latency = tenant_latency[i];
-                // Metric keys were interned once at executor
-                // construction (`Tenancy::new`); no `format!` here.
-                let keys = &tn.metric_keys[i];
-                for (name, value) in [
-                    (&keys.admitted, st.admitted),
-                    (&keys.admission_rejected, st.admission_rejected),
-                    (&keys.inbox_overflow, st.inbox_overflow),
-                    (&keys.quarantine_dropped, st.quarantine_dropped),
-                    (&keys.quarantines, st.quarantines),
-                ] {
-                    if value > 0 {
-                        metrics.inc(name, value);
-                    }
-                }
-                metrics.set_gauge(&keys.p99_s, latency.p99_s);
-                metrics.set_gauge(&keys.peak_inbox, st.peak_occupancy as f64);
                 tenants.push(TenantReport {
                     name: spec.name.clone(),
                     first_node: first,
@@ -1012,10 +926,6 @@ impl FleetExecutor<'_> {
         // the chain over the run window instead of asking any one link.
         let channel_bad_s =
             burst_profile(cfg).map_or(0.0, |p| LossyLink::weather_bad_s(p, cfg.seed, duration));
-        metrics.set_gauge("channel_utilization", channel_utilization);
-        metrics.set_gauge("aggregator_utilization", agg.cpu_busy_s / duration);
-        metrics.set_gauge("peak_inbox", agg.peak_inbox as f64);
-        metrics.set_gauge("channel_bad_s", channel_bad_s);
 
         // Aggregator energy: per-node receive folds (node order) plus the
         // serial CPU's compute spend (merged service order).
@@ -1048,7 +958,6 @@ impl FleetExecutor<'_> {
             tier_times,
             plan_audit,
             plan_cache,
-            metrics,
         }
     }
 }
@@ -1114,43 +1023,31 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_shards_and_bad_overrides() {
+    fn builder_rejects_zero_shards() {
         let inst = tiny_instance(0);
         let p = cross_end(&inst);
         let spec = FleetSpec::new(&inst, &p, RuntimeConfig::default()).unwrap();
-        let err = ExecutorBuilder::new(spec.clone()).shards(0).build();
-        assert!(matches!(err, Err(XProError::Config(_))));
-        // An override can invalidate a previously valid spec: adaptive
-        // turned on over a zeroed estimator window.
-        let cfg = RuntimeConfig {
-            adaptive_window: 0,
-            ..RuntimeConfig::default()
-        };
-        let spec = FleetSpec::new(&inst, &p, cfg).unwrap();
-        let err = ExecutorBuilder::new(spec).adaptive(true).build();
+        let err = ExecutorBuilder::new(spec).shards(0).build();
         assert!(matches!(err, Err(XProError::Config(_))));
     }
 
     #[test]
-    fn builder_overrides_apply_and_shards_resolve() {
+    fn builder_shards_resolve_to_the_fleet_size() {
         let inst = tiny_instance(0);
         let p = cross_end(&inst);
         let cfg = RuntimeConfig::builder()
             .nodes(3)
             .duration_s(0.5)
+            .seed(5)
             .build()
             .unwrap();
         let handle = ExecutorBuilder::new(FleetSpec::new(&inst, &p, cfg).unwrap())
             .shards(8) // capped at the fleet size
-            .seed(5)
             .build()
             .unwrap()
             .run();
         assert_eq!(handle.shards, 3);
-        assert_eq!(
-            handle.report.metrics.counter("segments_completed"),
-            handle.report.total_completed()
-        );
+        assert!(handle.report.total_completed() > 0);
     }
 
     #[test]
@@ -1470,10 +1367,6 @@ mod tests {
             assert!(n.battery_drawdown >= 0.0);
             assert!(n.latency.p50_s <= n.latency.p99_s + 1e-12);
         }
-        assert_eq!(
-            report.metrics.counter("segments_completed"),
-            report.total_completed()
-        );
         assert!(report.channel_utilization >= 0.0);
         assert!(report.partition_switches.is_empty());
         assert_eq!(report.tier_times.normal_s, 2.0);
@@ -1504,7 +1397,6 @@ mod tests {
             "fleet must still make progress"
         );
         assert_accounted(&report);
-        assert_eq!(report.metrics.counter("crashes"), crashes);
     }
 
     #[test]
@@ -1531,7 +1423,6 @@ mod tests {
             "spend stops near the budget"
         );
         assert_accounted(&report);
-        assert_eq!(report.metrics.counter("battery_depletions"), 1);
     }
 
     #[test]
@@ -1590,17 +1481,9 @@ mod tests {
             "tier times must partition the run"
         );
         assert_accounted(&report);
-        assert_eq!(
-            report.metrics.counter("partition_switches"),
-            report.partition_switches.len() as u64
-        );
         // Every committed Normal-tier epoch went through the certificate
         // gate; honest generator cuts are never rejected.
         assert_eq!(report.plan_audit.rejected, 0);
-        assert_eq!(
-            report.metrics.counter("plans_certified"),
-            report.plan_audit.certified
-        );
         assert!(
             report.to_json().contains("\"plan_audit\":{\"certified\":"),
             "the audit must surface in the JSON report"

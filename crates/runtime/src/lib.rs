@@ -34,7 +34,7 @@
 //!
 //! A run yields a [`RunReport`] — per-node throughput, p50/p95/p99
 //! latency, drop/retry counters, the energy split and a battery-life
-//! estimate — plus a [`MetricsRegistry`] of raw counters and gauges.
+//! estimate — with every number held once, in a typed field.
 //!
 //! The single-event dataflow simulator that used to live in the retired
 //! `xpro-sim` crate is absorbed here as [`trace`].
@@ -101,7 +101,6 @@ pub mod controller;
 pub mod executor;
 pub mod lifecycle;
 pub mod link;
-pub mod metrics;
 pub mod report;
 pub mod rng;
 pub mod shard;
@@ -121,7 +120,6 @@ pub use controller::{PartitionSwitch, PlanAudit, Tier, TierTimes};
 pub use executor::{ExecutorBuilder, FleetExecutor, FleetSpec, RunHandle, ShardCount};
 pub use lifecycle::{NodeLifecycle, OutageSchedule};
 pub use link::{BurstProfile, LossyLink};
-pub use metrics::MetricsRegistry;
 pub use report::{AggregatorReport, LatencyStats, NodeReport, RunReport, TenantReport};
 pub use sketch::QuantileSketch;
 pub use soundness::{

@@ -1,9 +1,9 @@
 //! Structured results of a streaming run: per-node statistics, aggregator
-//! and channel utilization, fault/adaptation logs, and the raw metrics
-//! registry.
+//! and channel utilization, and fault/adaptation logs. Fleet totals are
+//! folds over these typed fields (e.g. [`RunReport::total_completed`]);
+//! the report keeps no second, string-keyed copy of them.
 
 use crate::controller::{PartitionSwitch, PlanAudit, TierTimes};
-use crate::metrics::MetricsRegistry;
 use crate::sketch::QuantileSketch;
 use std::fmt::{self, Display, Write as _};
 use xpro_core::PlanCacheStats;
@@ -238,8 +238,6 @@ pub struct RunReport {
     /// rejected entries (failed re-verification, evicted and
     /// regenerated). All zero when the controller is off.
     pub plan_cache: PlanCacheStats,
-    /// Raw counters and gauges of the run, derived at digest time.
-    pub metrics: MetricsRegistry,
 }
 
 impl RunReport {

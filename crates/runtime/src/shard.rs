@@ -1,9 +1,9 @@
 //! Per-shard discrete-event simulation of a contiguous node range.
 //!
 //! The fleet executor splits its nodes into contiguous ranges; each range
-//! is one [`ShardSim`] owning the per-node state of its nodes, their
+//! is one `ShardSim` owning the per-node state of its nodes, their
 //! radios, crash schedules and pending events. Shards advance
-//! independently to a common virtual-time barrier ([`ShardSim::run_until`])
+//! independently to a common virtual-time barrier (`ShardSim::run_until`)
 //! and never touch shared state — everything a round produces for the rest
 //! of the system (aggregator jobs, controller observations) accumulates in
 //! shard-local buffers the executor drains and merges deterministically at

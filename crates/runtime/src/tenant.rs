@@ -53,7 +53,7 @@ const SHED_KEEP_EVERY: u64 = 2;
 /// the following range, and the node counts must sum to the fleet size.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TenantSpec {
-    /// Unique tenant name (surfaces in reports and metrics).
+    /// Unique tenant name (surfaces in reports).
     pub name: String,
     /// How many contiguous fleet nodes the tenant owns.
     pub nodes: usize,
@@ -284,41 +284,6 @@ impl TenantState {
     }
 }
 
-/// Pre-interned metric key strings of one tenant (`tenant.<name>.*`).
-/// Built once at executor construction so the digest path never
-/// re-`format!`s a key per observation.
-#[derive(Clone, Debug)]
-pub(crate) struct TenantMetricKeys {
-    /// `tenant.<name>.admitted`
-    pub admitted: String,
-    /// `tenant.<name>.admission_rejected`
-    pub admission_rejected: String,
-    /// `tenant.<name>.inbox_overflow`
-    pub inbox_overflow: String,
-    /// `tenant.<name>.quarantine_dropped`
-    pub quarantine_dropped: String,
-    /// `tenant.<name>.quarantines`
-    pub quarantines: String,
-    /// `tenant.<name>.p99_s`
-    pub p99_s: String,
-    /// `tenant.<name>.peak_inbox`
-    pub peak_inbox: String,
-}
-
-impl TenantMetricKeys {
-    fn new(name: &str) -> Self {
-        TenantMetricKeys {
-            admitted: format!("tenant.{name}.admitted"),
-            admission_rejected: format!("tenant.{name}.admission_rejected"),
-            inbox_overflow: format!("tenant.{name}.inbox_overflow"),
-            quarantine_dropped: format!("tenant.{name}.quarantine_dropped"),
-            quarantines: format!("tenant.{name}.quarantines"),
-            p99_s: format!("tenant.{name}.p99_s"),
-            peak_inbox: format!("tenant.{name}.peak_inbox"),
-        }
-    }
-}
-
 /// The whole admission layer: tenant table, node → tenant map, token
 /// buckets, weighted-fair inbox accounting and the tier/breaker state
 /// machines. Owned by the executor; every mutation happens either in
@@ -334,8 +299,6 @@ pub(crate) struct Tenancy {
     tenant_of: Vec<u16>,
     /// Per-tenant mutable state, parallel to `specs`.
     pub states: Vec<TenantState>,
-    /// Per-tenant pre-interned metric keys, parallel to `specs`.
-    pub metric_keys: Vec<TenantMetricKeys>,
     /// Shared (unreserved) inbox slots.
     shared_cap: usize,
     /// Shared slots currently in use (occupancy beyond reservations).
@@ -362,10 +325,6 @@ impl Tenancy {
             states.push(TenantState::new(reserved, t.quota_burst));
         }
         Tenancy {
-            metric_keys: specs
-                .iter()
-                .map(|t| TenantMetricKeys::new(&t.name))
-                .collect(),
             specs: specs.to_vec(),
             first_node,
             tenant_of,

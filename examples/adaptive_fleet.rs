@@ -47,9 +47,9 @@ fn main() -> Result<(), XProError> {
             .seed(41)
             .adaptive_window(32)
             .min_dwell_s(0.3)
+            .adaptive(adaptive)
             .build()?;
         let report = ExecutorBuilder::new(FleetSpec::new(&instance, &partition, run_cfg)?)
-            .adaptive(adaptive)
             .build()?
             .run()
             .report;

@@ -569,6 +569,20 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::parse_tenants;
+    use proptest::prelude::*;
+
+    const EXAMPLE: &str = include_str!("../../examples/tenants.json");
+
+    /// Parses `text` and, when it parses, validates the table against the
+    /// example's 8-node fleet: neither step may panic.
+    fn read(text: &str) {
+        if let Ok(specs) = parse_tenants(text) {
+            let _ = xpro::runtime::RuntimeConfig::builder()
+                .nodes(8)
+                .tenants(specs)
+                .build();
+        }
+    }
 
     fn one(fields: &str) -> Result<xpro::runtime::TenantSpec, String> {
         let mut specs = parse_tenants(&format!(r#"[{{"name": "t", "nodes": 2{fields}}}]"#))?;
@@ -621,6 +635,53 @@ mod tests {
             matches!(built, Err(xpro::core::XProError::Config(_))),
             "{built:?}"
         );
+    }
+
+    #[test]
+    fn every_truncation_returns() {
+        for n in 0..=EXAMPLE.len() {
+            read(&EXAMPLE[..n]);
+        }
+    }
+
+    /// Every number of the example file (node counts, weights, quotas,
+    /// bursts, breaker rounds, cooldowns) replaced by a value out of every
+    /// field's range or not finite.
+    #[test]
+    fn hostile_numbers_in_every_numeric_field_return() {
+        let b = EXAMPLE.as_bytes();
+        let mut fields = 0;
+        for (i, w) in b.windows(3).enumerate() {
+            let start = i + 3;
+            if w != b"\": " || !b.get(start).is_some_and(u8::is_ascii_digit) {
+                continue;
+            }
+            let len = b[start..]
+                .iter()
+                .position(|c| b",}\n ".contains(c))
+                .unwrap_or(b.len() - start);
+            fields += 1;
+            for value in ["18446744073709551615", "-1", "1e400", "NaN"] {
+                let mut text = EXAMPLE.to_string();
+                text.replace_range(start..start + len, value);
+                read(&text);
+            }
+        }
+        assert_eq!(fields, 15, "numeric fields of examples/tenants.json");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A flipped bit may break UTF-8 (read lossily), a key, a quote, a
+        /// bracket or a digit.
+        #[test]
+        fn any_single_bit_flip_returns(pos in 0usize..1 << 20, bit in 0u32..8) {
+            let mut bytes = EXAMPLE.as_bytes().to_vec();
+            let byte = pos % bytes.len();
+            bytes[byte] ^= 1 << bit;
+            read(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

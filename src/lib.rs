@@ -16,12 +16,12 @@
 //! * [`hw`] — functional-cell energy/delay library (ALU modes, TSMC nodes);
 //! * [`wireless`] — the three medical-implant radio models;
 //! * [`battery`] — Polymer Li-Ion lifetime model;
-//! * [`graph`] — Dinic max-flow / min-cut and DAG critical paths;
+//! * [`graph`] — Dinic max-flow / min-cut;
 //! * [`core`] — the XPro engine itself: cell graphs, the Automatic XPro
 //!   Generator, the four engine designs and system evaluation;
 //! * [`runtime`] — streaming cross-end executor: fleets of sensor nodes
 //!   over a lossy shared channel, fault injection, an adaptive partition
-//!   controller, metrics and run reports (the single-event tracer lives at
+//!   controller and run reports (the single-event tracer lives at
 //!   [`runtime::trace`]).
 //!
 //! # Quick start

@@ -1,9 +1,8 @@
 //! Bit-for-bit pins on what a fleet run reports.
 //!
-//! The JSON report and every counter and gauge of the run's
-//! `MetricsRegistry` are derived state: a change to how the executor keeps
+//! The JSON report is derived state: a change to how the executor keeps
 //! its books (event order, aggregator bookkeeping, report writer) must not
-//! move a byte of either. Three runs cover the executor's modes: the chaos
+//! move a byte of it. Three runs cover the executor's modes: the chaos
 //! scenario CI smokes (8 nodes, bursts, crashes, adaptive controller), the
 //! `examples/tenants.json` multi-tenant scenario, and a plain lossy
 //! 2 000-node fleet that drains in one round. Two more pin the tie order
@@ -14,21 +13,20 @@
 use xpro::data::{generate_case_sized, CaseId};
 use xpro::ml::SubspaceConfig;
 use xpro::prelude::*;
-use xpro::runtime::{MetricsRegistry, RuntimeConfigBuilder};
+use xpro::runtime::RuntimeConfigBuilder;
 
-/// `(to_json digest, metrics digest)` per run, recorded from the executor
-/// that still counted segments and admission rejections per event and kept
-/// latency and batch-size histograms in the registry. Only the histograms
-/// are gone since; the chaos and tenant JSON digests equal those of the
-/// `runtime --json` output CI compares across shard counts.
-const CHAOS: (u64, u64) = (0x7025_4858_1456_adff, 0x62ad_490d_52d9_594c);
-const TENANTS: (u64, u64) = (0x1fe7_ecfe_70a7_cbc7, 0xed55_4f2d_3ee4_2174);
-const LOSSY: (u64, u64) = (0x49d2_b753_8f83_8404, 0x4049_73de_8c68_88c2);
+/// `to_json` digest per run, recorded from the executor that still counted
+/// segments and admission rejections per event. The chaos and tenant
+/// digests equal those of the `runtime --json` output CI compares across
+/// shard counts.
+const CHAOS: u64 = 0x7025_4858_1456_adff;
+const TENANTS: u64 = 0x1fe7_ecfe_70a7_cbc7;
+const LOSSY: u64 = 0x49d2_b753_8f83_8404;
 /// The unstaggered tie-order runs, plain and with a tenant table, recorded
 /// from the executor that still popped every event from one shard-wide
 /// radix wheel in `(time, node, sequence)` order.
-const TIES: (u64, u64) = (0x4bdc_4374_3547_8dbe, 0x5907_609f_92be_2f2b);
-const TIES_TENANTS: (u64, u64) = (0x20fa_4a04_946c_cc43, 0x54b8_1a85_51c3_8bf9);
+const TIES: u64 = 0x4bdc_4374_3547_8dbe;
+const TIES_TENANTS: u64 = 0x20fa_4a04_946c_cc43;
 
 /// FNV-1a over bytes.
 struct Digest(u64);
@@ -45,23 +43,6 @@ impl Digest {
         }
         self
     }
-}
-
-/// Digest of every counter and gauge: names, then values (gauges by bit
-/// pattern), in the registry's sorted order.
-fn metrics_digest(m: &MetricsRegistry) -> u64 {
-    let mut d = Digest::new();
-    for (name, value) in m.counters() {
-        d.bytes(b"c")
-            .bytes(name.as_bytes())
-            .bytes(&value.to_le_bytes());
-    }
-    for (name, value) in m.gauges() {
-        d.bytes(b"g")
-            .bytes(name.as_bytes())
-            .bytes(&value.to_bits().to_le_bytes());
-    }
-    d.0
 }
 
 /// The C1 instance and certified cross-end cut the `runtime` CLI builds
@@ -89,8 +70,8 @@ fn cli_instance() -> (XProInstance, Partition) {
 }
 
 /// Runs `cfg` at one and at three shards, checks the reports agree, and
-/// returns the JSON report and the metrics digest.
-fn run(inst: &XProInstance, p: &Partition, cfg: &RuntimeConfig) -> (String, u64) {
+/// returns the JSON report.
+fn run(inst: &XProInstance, p: &Partition, cfg: &RuntimeConfig) -> String {
     let run_at = |shards: usize| {
         ExecutorBuilder::new(FleetSpec::new(inst, p, cfg.clone()).expect("valid spec"))
             .shards(shards)
@@ -103,8 +84,7 @@ fn run(inst: &XProInstance, p: &Partition, cfg: &RuntimeConfig) -> (String, u64)
     let three = run_at(3);
     let json = one.to_json();
     assert_eq!(json, three.to_json(), "shard count moved the report");
-    assert_eq!(one.metrics, three.metrics, "shard count moved the metrics");
-    (json, metrics_digest(&one.metrics))
+    json
 }
 
 /// The CI chaos scenario's fault stack on 8 nodes for 30 s.
@@ -119,20 +99,16 @@ fn chaos_builder() -> RuntimeConfigBuilder {
         .seed(7)
 }
 
-fn check(label: &str, (json, metrics): (String, u64), (pinned_json, pinned_metrics): (u64, u64)) {
-    let json_digest = Digest::new().bytes(json.as_bytes()).0;
+fn check(label: &str, json: String, pinned: u64) {
+    let digest = Digest::new().bytes(json.as_bytes()).0;
     assert_eq!(
-        json_digest, pinned_json,
-        "{label}: report JSON digest {json_digest:#018x} != pinned {pinned_json:#018x}"
-    );
-    assert_eq!(
-        metrics, pinned_metrics,
-        "{label}: metrics digest {metrics:#018x} != pinned {pinned_metrics:#018x}"
+        digest, pinned,
+        "{label}: report JSON digest {digest:#018x} != pinned {pinned:#018x}"
     );
 }
 
 #[test]
-fn reports_and_metrics_match_the_pinned_digests() {
+fn reports_match_the_pinned_digests() {
     let (inst, p) = cli_instance();
 
     let chaos = chaos_builder()
