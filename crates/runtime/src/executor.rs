@@ -99,11 +99,9 @@ impl From<usize> for ShardCount {
 }
 
 impl ShardCount {
-    fn resolve(self, nodes: usize) -> usize {
+    fn resolve(self, nodes: usize, cores: usize) -> usize {
         let wanted = match self {
-            ShardCount::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
+            ShardCount::Auto => cores,
             ShardCount::Fixed(n) => n,
         };
         wanted.clamp(1, nodes.max(1))
@@ -225,8 +223,8 @@ impl<'a> ExecutorBuilder<'a> {
         self
     }
 
-    /// Resolves the shard count. The configuration was validated by
-    /// [`FleetSpec::new`].
+    /// Resolves the shard count and the worker count of the round pool.
+    /// The configuration was validated by [`FleetSpec::new`].
     ///
     /// # Errors
     ///
@@ -237,10 +235,14 @@ impl<'a> ExecutorBuilder<'a> {
                 "shard count must be at least 1 (or ShardCount::Auto)",
             ));
         }
-        let shards = self.shards.resolve(self.spec.config.nodes);
+        // Probed once per build: the probe reads cgroup files, and a run
+        // of many barrier rounds must not pay for it in every round.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let shards = self.shards.resolve(self.spec.config.nodes, cores);
         Ok(FleetExecutor {
             spec: self.spec,
             shards,
+            workers: cores.min(shards),
             record_timesteps: self.record_timesteps,
         })
     }
@@ -276,6 +278,9 @@ pub struct RunHandle {
 pub struct FleetExecutor<'a> {
     spec: FleetSpec<'a>,
     shards: usize,
+    /// Threads that advance the shards in each round, the caller
+    /// included: the available cores, capped at the shard count.
+    workers: usize,
     record_timesteps: bool,
 }
 
@@ -611,16 +616,14 @@ impl AggPhase {
 }
 
 /// Advances every shard to the barrier on a hand-rolled fork-join pool:
-/// one scoped worker per available core, each draining a contiguous chunk
-/// of shards. With one worker (or one shard) the round runs inline — the
-/// identical computation, no threads.
+/// the shards split into `workers` contiguous chunks, the calling thread
+/// drains the first and one scoped thread each drains the rest. With one
+/// worker (or one shard) the round runs inline — the identical
+/// computation, no threads.
 ///
 /// Each shard sorts its own job run inside the round, so the sorts
 /// parallelize with the simulation and the merge sees sorted runs.
-fn run_round(shards: &mut [ShardSim], target_s: f64) {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(shards.len());
+fn run_round(shards: &mut [ShardSim], workers: usize, target_s: f64) {
     let advance = |sh: &mut ShardSim| {
         sh.run_until(target_s);
         sh.jobs.sort_unstable();
@@ -630,11 +633,28 @@ fn run_round(shards: &mut [ShardSim], target_s: f64) {
         return;
     }
     let chunk = shards.len().div_ceil(workers);
+    let (own, rest) = shards.split_at_mut(chunk);
     std::thread::scope(|scope| {
-        for group in shards.chunks_mut(chunk) {
+        for group in rest.chunks_mut(chunk) {
             scope.spawn(move || group.iter_mut().for_each(advance));
         }
+        own.iter_mut().for_each(advance);
     });
+}
+
+/// Puts the last `window` observations of `obs` (by the `(time, node,
+/// idx)` key) at its end in key order and returns them. The estimator
+/// keeps only its last `window` samples, so feeding this tail leaves it in
+/// the same state as feeding every observation in key order: anything
+/// earlier would be evicted unread.
+fn window_tail(obs: &mut [Obs], window: usize) -> &[Obs] {
+    let skip = obs.len().saturating_sub(window);
+    if skip > 0 {
+        obs.select_nth_unstable(skip);
+    }
+    let tail = &mut obs[skip..];
+    tail.sort_unstable();
+    tail
 }
 
 impl FleetExecutor<'_> {
@@ -708,28 +728,23 @@ impl FleetExecutor<'_> {
         // — the aggregator never feeds back into the nodes. Forcing
         // barriers for recording never changes the simulation: jobs are
         // served in the identical merged order either way.
+        let mut obs: Vec<Obs> = Vec::new();
         let mut k = 1u64;
         loop {
             let t_k = period_s * k as f64;
             let barrier = (controller.is_some() || tenancy.is_some() || recorder.is_some())
                 && t_k < cfg.duration_s;
             let target = if barrier { t_k } else { f64::INFINITY };
-            run_round(&mut shards, target);
+            run_round(&mut shards, self.workers, target);
 
             if let Some(ctl) = controller.as_mut() {
-                // Merge the round's observations into one total order
-                // before feeding the estimator.
-                let mut obs: Vec<Obs> = Vec::new();
+                // Feed the estimator the round's observations in one
+                // total order; only the last window of them can survive.
+                obs.clear();
                 for sh in &mut shards {
                     obs.append(&mut sh.obs);
                 }
-                obs.sort_by(|a, b| {
-                    a.time_s
-                        .total_cmp(&b.time_s)
-                        .then_with(|| a.node.cmp(&b.node))
-                        .then_with(|| a.idx.cmp(&b.idx))
-                });
-                for o in &obs {
+                for o in window_tail(&mut obs, cfg.adaptive_window) {
                     ctl.observe(o.attempts);
                 }
             }
@@ -1488,6 +1503,74 @@ mod tests {
             report.to_json().contains("\"plan_audit\":{\"certified\":"),
             "the audit must surface in the JSON report"
         );
+    }
+
+    /// Feeding only the selected tail of each round leaves the estimator
+    /// where feeding the whole round in key order does: the same length
+    /// and factor after every round, and the same samples evicted by
+    /// later rounds. Rounds hold 0..=12 observations with `time_s` drawn
+    /// from four values, so keys tie on time and fall to `(node, idx)`.
+    #[test]
+    fn window_tail_feeds_the_estimator_like_the_full_order() {
+        use crate::rng::XorShiftRng;
+        use xpro_wireless::{EffectiveEnergyEstimator, TransferSample};
+
+        let feed = |est: &mut EffectiveEnergyEstimator, obs: &[Obs]| {
+            for o in obs {
+                est.record(TransferSample {
+                    planned_frames: 1,
+                    attempts: o.attempts,
+                });
+            }
+        };
+        let mut rng = XorShiftRng::new(2026);
+        let mut next_idx = [0u64; 3];
+        for case in 0..400 {
+            let n = case % 13;
+            for window in 1..=(2 * n).max(1) {
+                let mut full = EffectiveEnergyEstimator::new(window);
+                let mut tail = EffectiveEnergyEstimator::new(window);
+                for round in 0..4 {
+                    // Round 0 is `n` observations; later rounds, which
+                    // evict what earlier ones left, take a random size.
+                    let len = if round == 0 {
+                        n
+                    } else {
+                        (rng.next_u64() % 13) as usize
+                    };
+                    let mut obs: Vec<Obs> = (0..len)
+                        .map(|_| {
+                            let node = (rng.next_u64() % 3) as u32;
+                            next_idx[node as usize] += 1;
+                            Obs {
+                                time_s: (rng.next_u64() % 4) as f64 * 0.25,
+                                node,
+                                idx: next_idx[node as usize],
+                                attempts: 1 + rng.next_u64() % 9,
+                            }
+                        })
+                        .collect();
+                    let mut sorted = obs.clone();
+                    sorted.sort();
+                    feed(&mut full, &sorted);
+                    feed(&mut tail, window_tail(&mut obs, window));
+                    assert_eq!(full.len(), tail.len(), "n {n} window {window}");
+                    assert_eq!(full.factor().to_bits(), tail.factor().to_bits());
+                }
+                // Push unit samples one at a time: each evicts the
+                // oldest survivor, so equal factors throughout mean the
+                // two windows held the same samples in the same order.
+                for _ in 0..window {
+                    let unit = TransferSample {
+                        planned_frames: 1,
+                        attempts: 1,
+                    };
+                    full.record(unit);
+                    tail.record(unit);
+                    assert_eq!(full.factor().to_bits(), tail.factor().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,8 @@ impl Event {
 /// One terminal frame outcome destined for the adaptive controller,
 /// tagged with a total ordering key `(time_s, node, idx)` so the executor
 /// can merge all shards' observations into one shard-count-independent
-/// feed order.
+/// feed order. The key is unique per observation, since `idx` counts per
+/// node.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Obs {
     /// Virtual time of the terminal outcome.
@@ -101,6 +102,26 @@ pub(crate) struct Obs {
     pub idx: u64,
     /// Attempts the planned frame cost.
     pub attempts: u64,
+}
+
+impl PartialEq for Obs {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Obs {}
+impl PartialOrd for Obs {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Obs {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time_s
+            .total_cmp(&other.time_s)
+            .then_with(|| self.node.cmp(&other.node))
+            .then_with(|| self.idx.cmp(&other.idx))
+    }
 }
 
 /// A segment whose wireless phase finished: ready for the aggregator CPU.
@@ -636,11 +657,8 @@ mod tests {
                 slow.jobs.sort_unstable();
                 let jobs = |sh: &ShardSim| format!("{:?}", sh.jobs);
                 assert_eq!(jobs(&fast), jobs(&slow), "seed {seed} round {round}");
-                for sh in [&mut fast, &mut slow] {
-                    sh.obs.sort_by(|a, b| {
-                        (a.time_s.total_cmp(&b.time_s)).then((a.node, a.idx).cmp(&(b.node, b.idx)))
-                    });
-                }
+                fast.obs.sort_unstable();
+                slow.obs.sort_unstable();
                 assert_eq!(format!("{:?}", fast.obs), format!("{:?}", slow.obs));
                 if target.is_infinite() {
                     break;

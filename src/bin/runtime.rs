@@ -32,7 +32,7 @@ Streaming cross-end execution of a partitioned engine over a fleet.
 options:
   --case <SYM>        Table-1 workload to train (C1, C2, E1, E2, M1, M2;
                       default C1)
-  --segments <N>      training-set size (default 60)
+  --segments <N>      training-set size, 2..=100000 (default 60)
   --engine <E>        partition to stream: cross-end (default), in-sensor,
                       in-aggregator, trivial
   --nodes <N>         sensor nodes sharing channel + aggregator (default 4)
@@ -86,6 +86,13 @@ output:
                       any --shards value
   -h, --help          this message";
 
+/// Cross-validation folds of the pipeline `run` trains; `--segments`
+/// needs at least one segment per fold.
+const CV_FOLDS: usize = 2;
+/// Largest `--segments`: the generated dataset (at most 136 samples a
+/// segment) stays near 100 MiB.
+const MAX_SEGMENTS: usize = 100_000;
+
 struct Args {
     case: CaseId,
     segments: usize,
@@ -116,7 +123,9 @@ struct Args {
     export: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line (program name excluded). An empty error
+/// string asks for the usage text.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         case: CaseId::C1,
         segments: 60,
@@ -146,24 +155,27 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         export: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter().map(String::as_str);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
+        match flag {
             "--case" => {
-                let sym = value("--case")?;
+                let sym = value(flag, it.next())?;
                 args.case = CaseId::ALL
                     .into_iter()
-                    .find(|c| c.symbol().eq_ignore_ascii_case(&sym))
+                    .find(|c| c.symbol().eq_ignore_ascii_case(sym))
                     .ok_or_else(|| format!("unknown case {sym:?}"))?;
             }
             "--segments" => {
-                args.segments = value("--segments")?
-                    .parse()
-                    .map_err(|e| format!("--segments: {e}"))?;
+                args.segments = parsed(flag, it.next())?;
+                if !(CV_FOLDS..=MAX_SEGMENTS).contains(&args.segments) {
+                    return Err(format!(
+                        "--segments must be in {CV_FOLDS}..={MAX_SEGMENTS}, got {}",
+                        args.segments
+                    ));
+                }
             }
             "--engine" => {
-                args.engine = match value("--engine")?.to_ascii_lowercase().as_str() {
+                args.engine = match value(flag, it.next())?.to_ascii_lowercase().as_str() {
                     "cross-end" | "c" => Engine::CrossEnd,
                     "in-sensor" | "s" => Engine::InSensor,
                     "in-aggregator" | "a" => Engine::InAggregator,
@@ -171,133 +183,72 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown engine {other:?}")),
                 };
             }
-            "--nodes" => {
-                args.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?;
-            }
-            "--seconds" => {
-                args.seconds = value("--seconds")?
-                    .parse()
-                    .map_err(|e| format!("--seconds: {e}"))?;
-            }
-            "--drop-rate" => {
-                args.drop_rate = value("--drop-rate")?
-                    .parse()
-                    .map_err(|e| format!("--drop-rate: {e}"))?;
-            }
-            "--max-retries" => {
-                args.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--timeout" => {
-                args.timeout_s = value("--timeout")?
-                    .parse()
-                    .map_err(|e| format!("--timeout: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--nodes" => args.nodes = parsed(flag, it.next())?,
+            "--seconds" => args.seconds = parsed(flag, it.next())?,
+            "--drop-rate" => args.drop_rate = parsed(flag, it.next())?,
+            "--max-retries" => args.max_retries = parsed(flag, it.next())?,
+            "--timeout" => args.timeout_s = parsed(flag, it.next())?,
+            "--seed" => args.seed = parsed(flag, it.next())?,
             "--shards" => {
-                let spec = value("--shards")?;
+                let spec = value(flag, it.next())?;
                 args.shards = if spec.eq_ignore_ascii_case("auto") {
                     ShardCount::Auto
                 } else {
-                    ShardCount::Fixed(spec.parse().map_err(|e| format!("--shards: {e}"))?)
+                    ShardCount::Fixed(parsed(flag, Some(spec))?)
                 };
             }
-            "--burst-bad-rate" => {
-                args.burst_bad_rate = value("--burst-bad-rate")?
-                    .parse()
-                    .map_err(|e| format!("--burst-bad-rate: {e}"))?;
-            }
-            "--burst-p-enter" => {
-                args.burst_p_enter = value("--burst-p-enter")?
-                    .parse()
-                    .map_err(|e| format!("--burst-p-enter: {e}"))?;
-            }
-            "--burst-p-exit" => {
-                args.burst_p_exit = value("--burst-p-exit")?
-                    .parse()
-                    .map_err(|e| format!("--burst-p-exit: {e}"))?;
-            }
-            "--burst-slot-s" => {
-                args.burst_slot_s = value("--burst-slot-s")?
-                    .parse()
-                    .map_err(|e| format!("--burst-slot-s: {e}"))?;
-            }
-            "--mtbf-s" => {
-                args.mtbf_s = value("--mtbf-s")?
-                    .parse()
-                    .map_err(|e| format!("--mtbf-s: {e}"))?;
-            }
-            "--mttr-s" => {
-                args.mttr_s = value("--mttr-s")?
-                    .parse()
-                    .map_err(|e| format!("--mttr-s: {e}"))?;
-            }
-            "--warmup-s" => {
-                args.warmup_s = value("--warmup-s")?
-                    .parse()
-                    .map_err(|e| format!("--warmup-s: {e}"))?;
-            }
-            "--battery-pj" => {
-                args.battery_pj = value("--battery-pj")?
-                    .parse()
-                    .map_err(|e| format!("--battery-pj: {e}"))?;
-            }
+            "--burst-bad-rate" => args.burst_bad_rate = parsed(flag, it.next())?,
+            "--burst-p-enter" => args.burst_p_enter = parsed(flag, it.next())?,
+            "--burst-p-exit" => args.burst_p_exit = parsed(flag, it.next())?,
+            "--burst-slot-s" => args.burst_slot_s = parsed(flag, it.next())?,
+            "--mtbf-s" => args.mtbf_s = parsed(flag, it.next())?,
+            "--mttr-s" => args.mttr_s = parsed(flag, it.next())?,
+            "--warmup-s" => args.warmup_s = parsed(flag, it.next())?,
+            "--battery-pj" => args.battery_pj = parsed(flag, it.next())?,
             "--aggregator-outage" => {
-                let spec = value("--aggregator-outage")?;
+                let spec = value(flag, it.next())?;
                 let (period, dur) = spec.split_once(',').ok_or_else(|| {
                     format!("--aggregator-outage expects PERIOD,DUR, got {spec:?}")
                 })?;
                 args.outage = Some((
-                    period
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("--aggregator-outage period: {e}"))?,
-                    dur.trim()
-                        .parse()
-                        .map_err(|e| format!("--aggregator-outage duration: {e}"))?,
+                    parsed("--aggregator-outage period", Some(period.trim()))?,
+                    parsed("--aggregator-outage duration", Some(dur.trim()))?,
                 ));
             }
-            "--agg-inbox" => {
-                args.agg_inbox = value("--agg-inbox")?
-                    .parse()
-                    .map_err(|e| format!("--agg-inbox: {e}"))?;
-            }
+            "--agg-inbox" => args.agg_inbox = parsed(flag, it.next())?,
             "--tenants" => {
-                let path = value("--tenants")?;
-                let src = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("--tenants: {path}: {e}"))?;
+                let path = value(flag, it.next())?;
+                let src =
+                    std::fs::read_to_string(path).map_err(|e| format!("--tenants: {path}: {e}"))?;
                 args.tenants = parse_tenants(&src).map_err(|e| format!("--tenants: {e}"))?;
             }
             "--adaptive" => args.adaptive = true,
-            "--adaptive-window" => {
-                args.adaptive_window = value("--adaptive-window")?
-                    .parse()
-                    .map_err(|e| format!("--adaptive-window: {e}"))?;
-            }
-            "--hysteresis" => {
-                args.hysteresis = value("--hysteresis")?
-                    .parse()
-                    .map_err(|e| format!("--hysteresis: {e}"))?;
-            }
-            "--min-dwell-s" => {
-                args.min_dwell_s = value("--min-dwell-s")?
-                    .parse()
-                    .map_err(|e| format!("--min-dwell-s: {e}"))?;
-            }
+            "--adaptive-window" => args.adaptive_window = parsed(flag, it.next())?,
+            "--hysteresis" => args.hysteresis = parsed(flag, it.next())?,
+            "--min-dwell-s" => args.min_dwell_s = parsed(flag, it.next())?,
             "--json" => args.json = true,
-            "--export" => args.export = Some(value("--export")?.into()),
+            "--export" => args.export = Some(value(flag, it.next())?.into()),
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     Ok(args)
+}
+
+/// The value following `flag`, or an error naming the flag.
+fn value<'a>(flag: &str, raw: Option<&'a str>) -> Result<&'a str, String> {
+    raw.ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// The value following `flag`, parsed as a `T`.
+fn parsed<T>(flag: &str, raw: Option<&str>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value(flag, raw)?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Parses a tenant-spec file: a JSON array of flat objects with string,
@@ -430,26 +381,10 @@ fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
     Ok(tenants)
 }
 
-fn run(args: &Args) -> Result<(), XProError> {
-    let data = generate_case_sized(args.case, args.segments, 42);
-    let cfg = PipelineConfig::builder()
-        .subspace(SubspaceConfig {
-            candidates: 10,
-            keep_fraction: 0.3,
-            min_keep: 3,
-            folds: 2,
-            ..SubspaceConfig::default()
-        })
-        .build()?;
-    let pipeline = XProPipeline::train(&data, &cfg)?;
-    let segment_len = pipeline.segment_len();
-    let instance =
-        XProInstance::try_new(pipeline.into_built(), SystemConfig::default(), segment_len)?;
-    let generator = XProGenerator::new(&instance);
-    let partition = generator.partition_for(args.engine)?;
-
+/// The validated fleet configuration the arguments describe.
+fn run_config(args: &Args) -> Result<RuntimeConfig, XProError> {
     let (outage_period, outage_s) = args.outage.unwrap_or((0.0, 0.0));
-    let run_cfg = RuntimeConfig::builder()
+    RuntimeConfig::builder()
         .nodes(args.nodes)
         .duration_s(args.seconds)
         .drop_rate(args.drop_rate)
@@ -472,8 +407,28 @@ fn run(args: &Args) -> Result<(), XProError> {
         .adaptive_window(args.adaptive_window)
         .hysteresis(args.hysteresis)
         .min_dwell_s(args.min_dwell_s)
+        .build()
+}
+
+fn run(args: &Args) -> Result<(), XProError> {
+    let data = generate_case_sized(args.case, args.segments, 42);
+    let cfg = PipelineConfig::builder()
+        .subspace(SubspaceConfig {
+            candidates: 10,
+            keep_fraction: 0.3,
+            min_keep: 3,
+            folds: CV_FOLDS,
+            ..SubspaceConfig::default()
+        })
         .build()?;
-    let spec = FleetSpec::new(&instance, &partition, run_cfg)?;
+    let pipeline = XProPipeline::train(&data, &cfg)?;
+    let segment_len = pipeline.segment_len();
+    let instance =
+        XProInstance::try_new(pipeline.into_built(), SystemConfig::default(), segment_len)?;
+    let generator = XProGenerator::new(&instance);
+    let partition = generator.partition_for(args.engine)?;
+
+    let spec = FleetSpec::new(&instance, &partition, run_config(args)?)?;
     let handle = ExecutorBuilder::new(spec)
         .shards(args.shards)
         .record_timesteps(args.export.is_some())
@@ -506,10 +461,9 @@ fn run(args: &Args) -> Result<(), XProError> {
 /// `--json` keeps stdout machine-clean.
 fn export_columns(dir: &std::path::Path, handle: &RunHandle) -> Result<(), XProError> {
     use xpro::runtime::{node_columns, summarize_timesteps};
-    let timesteps = handle
-        .timesteps
-        .as_ref()
-        .expect("recording was enabled with --export");
+    let Some(timesteps) = handle.timesteps.as_ref() else {
+        return Err(XProError::config("--export ran without timestep recording"));
+    };
     std::fs::create_dir_all(dir).map_err(XProError::from)?;
     timesteps.write(&dir.join("timesteps.xpc"))?;
     node_columns(&handle.report).write(&dir.join("nodes.xpc"))?;
@@ -546,7 +500,14 @@ fn export_columns(dir: &std::path::Path, handle: &RunHandle) -> Result<(), XProE
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let argv: Result<Vec<String>, String> = std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .map_err(|arg| format!("argument {arg:?} is not valid UTF-8"))
+        })
+        .collect();
+    let args = match argv.and_then(|argv| parse_args(&argv)) {
         Ok(args) => args,
         Err(msg) => {
             if msg.is_empty() {
@@ -568,10 +529,171 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_tenants;
+    use super::{parse_args, parse_tenants, run_config};
     use proptest::prelude::*;
 
     const EXAMPLE: &str = include_str!("../../examples/tenants.json");
+
+    /// A command line that sets every option: the CI chaos run plus the
+    /// remaining knobs, each with a valid value.
+    const ARGV: &[&str] = &[
+        "--case",
+        "E2",
+        "--segments",
+        "60",
+        "--engine",
+        "trivial",
+        "--nodes",
+        "8",
+        "--seconds",
+        "30",
+        "--drop-rate",
+        "0.2",
+        "--max-retries",
+        "3",
+        "--timeout",
+        "1",
+        "--seed",
+        "7",
+        "--shards",
+        "3",
+        "--burst-bad-rate",
+        "0.95",
+        "--burst-p-enter",
+        "0.3",
+        "--burst-p-exit",
+        "0.05",
+        "--burst-slot-s",
+        "0.1",
+        "--mtbf-s",
+        "30",
+        "--mttr-s",
+        "2",
+        "--warmup-s",
+        "0.5",
+        "--battery-pj",
+        "1e12",
+        "--aggregator-outage",
+        "10,1",
+        "--agg-inbox",
+        "128",
+        "--tenants",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/examples/tenants.json"),
+        "--adaptive",
+        "--adaptive-window",
+        "64",
+        "--hysteresis",
+        "1.5",
+        "--min-dwell-s",
+        "1",
+        "--json",
+    ];
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    /// Parses `argv` and, when it parses, validates the fleet
+    /// configuration it describes: neither step may panic.
+    fn read_args(argv: &[String]) {
+        if let Ok(args) = parse_args(argv) {
+            let _ = run_config(&args);
+        }
+    }
+
+    #[test]
+    fn full_command_line_parses_every_option() {
+        let args = parse_args(&argv(ARGV)).expect("parses");
+        assert_eq!(args.case.symbol(), "E2");
+        assert_eq!((args.nodes, args.segments, args.agg_inbox), (8, 60, 128));
+        assert_eq!(args.shards, xpro::runtime::ShardCount::Fixed(3));
+        assert_eq!(args.outage, Some((10.0, 1.0)));
+        assert_eq!(args.tenants.len(), 3);
+        assert!(args.adaptive && args.json && args.export.is_none());
+        let cfg = run_config(&args).expect("a valid fleet");
+        assert_eq!((cfg.battery_budget_pj, cfg.min_dwell_s), (1e12, 1.0));
+        assert!(parse_args(&argv(&["--help"])).is_err_and(|e| e.is_empty()));
+    }
+
+    #[test]
+    fn segments_outside_the_trainable_range_are_rejected() {
+        for bad in ["0", "1", "100001", "18446744073709551615"] {
+            let Err(err) = parse_args(&argv(&["--segments", bad])) else {
+                panic!("--segments {bad} parsed");
+            };
+            assert!(err.contains("--segments"), "{bad}: {err}");
+        }
+        assert!(parse_args(&argv(&["--segments", "2"])).is_ok());
+    }
+
+    /// Every prefix of the command line, and every argument cut short.
+    #[test]
+    fn every_truncation_of_the_command_line_returns() {
+        let full = argv(ARGV);
+        for n in 0..=full.len() {
+            read_args(&full[..n]);
+        }
+        for (i, arg) in ARGV.iter().enumerate() {
+            for (cut, _) in arg.char_indices() {
+                let mut args = full.clone();
+                args[i] = arg[..cut].to_string();
+                read_args(&args);
+            }
+        }
+    }
+
+    /// Every numeric value replaced by one out of every option's range
+    /// or not finite.
+    #[test]
+    fn hostile_numbers_in_every_numeric_option_return() {
+        let mut options = 0;
+        for (i, arg) in ARGV.iter().enumerate() {
+            if !arg.starts_with(|c: char| c.is_ascii_digit()) {
+                continue;
+            }
+            options += 1;
+            for value in [
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "1e400",
+                "-1e400",
+                "NaN",
+                "0",
+                "",
+                "1,NaN",
+            ] {
+                let mut args = argv(ARGV);
+                args[i] = value.to_string();
+                read_args(&args);
+            }
+        }
+        assert_eq!(options, 21, "numeric options of the full command line");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A flipped bit may break UTF-8 (read lossily), a flag name, a
+        /// digit, the outage separator or the tenants path.
+        #[test]
+        fn any_single_bit_flip_in_the_command_line_returns(
+            pos in 0usize..1 << 20,
+            bit in 0u32..8,
+        ) {
+            let mut args = argv(ARGV);
+            let total: usize = ARGV.iter().map(|a| a.len()).sum();
+            let (mut arg, mut byte) = (0, pos % total);
+            while byte >= ARGV[arg].len() {
+                byte -= ARGV[arg].len();
+                arg += 1;
+            }
+            let mut bytes = ARGV[arg].as_bytes().to_vec();
+            bytes[byte] ^= 1 << bit;
+            args[arg] = String::from_utf8_lossy(&bytes).into_owned();
+            read_args(&args);
+        }
+    }
 
     /// Parses `text` and, when it parses, validates the table against the
     /// example's 8-node fleet: neither step may panic.
