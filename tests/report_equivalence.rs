@@ -8,8 +8,11 @@
 //! 2 000-node fleet that drains in one round. Two more pin the tie order
 //! of aggregator jobs: an unstaggered fleet whose nodes all finish at the
 //! same instants, where who overflows a small inbox is decided by node
-//! index alone.
+//! index alone. The last two reach the writer's rarer branches: tenant
+//! names that need JSON escapes, and idle nodes whose battery life is
+//! infinite and so written as `null`.
 
+use xpro::battery::BatteryModel;
 use xpro::data::{generate_case_sized, CaseId};
 use xpro::ml::SubspaceConfig;
 use xpro::prelude::*;
@@ -27,6 +30,9 @@ const LOSSY: u64 = 0x49d2_b753_8f83_8404;
 /// radix wheel in `(time, node, sequence)` order.
 const TIES: u64 = 0x4bdc_4374_3547_8dbe;
 const TIES_TENANTS: u64 = 0x20fa_4a04_946c_cc43;
+/// The writer edge-case runs, recorded from the `write!`-based writer.
+const ESCAPES: u64 = 0x7461_afb6_7382_b2b7;
+const IDLE: u64 = 0xcfdc_7339_c351_d2d0;
 
 /// FNV-1a over bytes.
 struct Digest(u64);
@@ -194,4 +200,61 @@ fn unstaggered_tie_order_matches_the_pinned_digests() {
     ];
     let tenancy = ties().tenants(tenants).build().expect("valid tie tenants");
     check("ties + tenants", run(&inst, &p, &tenancy), TIES_TENANTS);
+}
+
+/// Two runs that reach the writer branches the pins above may miss. The
+/// first is the chaos fleet grown to 12 nodes under four tenants whose
+/// names need `\"`, `\\`, short and `\u00XX` escapes, with the adaptive
+/// controller switching partitions. The second gives 1 100 nodes a
+/// battery without self-discharge and stops before the later half of
+/// them sees an arrival: those nodes spend no energy, so their battery
+/// life is infinite and written as `null`. Node indices and counts cross
+/// the 10^k digit boundaries on the way.
+#[test]
+fn writer_edge_cases_match_the_pinned_digests() {
+    let (inst, p) = cli_instance();
+
+    let tenants = vec![
+        TenantSpec::new("q\"uote", 3).weight(2),
+        TenantSpec::new("back\\slash", 3)
+            .quota_hz(6.0)
+            .quota_burst(4)
+            .breaker_rounds(2),
+        TenantSpec::new("ctl\u{1}\u{1f}\t\n\r", 3).quota_hz(2.0),
+        TenantSpec::new("ünï\u{200b}code", 3),
+    ];
+    let escapes = chaos_builder()
+        .nodes(12)
+        .mtbf_s(30.0)
+        .mttr_s(2.0)
+        .adaptive(true)
+        .min_dwell_s(1.0)
+        .tenants(tenants)
+        .build()
+        .expect("valid escape config");
+    let json = run(&inst, &p, &escapes);
+    assert!(json.contains(r#""name":"q\"uote""#), "quote escape");
+    assert!(json.contains(r#""name":"back\\slash""#), "backslash escape");
+    assert!(
+        json.contains(r#""name":"ctl\u0001\u001f\t\n\r""#),
+        "control escapes"
+    );
+    assert!(json.contains("\"name\":\"ünï\u{200b}code\""), "raw UTF-8");
+    assert!(json.contains(r#""partition_switches":[{"#), "no switch");
+    check("escapes", json, ESCAPES);
+
+    let mut system = inst.config().clone();
+    system.sensor_battery = BatteryModel::new(40.0, 3.0, 1.05, 40.0, 0.0);
+    let idle_inst = inst.reconfigured(system).expect("valid system");
+    let idle = RuntimeConfig::builder()
+        .nodes(1_100)
+        .duration_s(0.5 / idle_inst.events_per_second())
+        .drop_rate(0.05)
+        .seed(5)
+        .build()
+        .expect("valid idle config");
+    let json = run(&idle_inst, &p, &idle);
+    assert!(json.contains(r#""node":1099,"offered":0,"#), "idle tail");
+    assert!(json.contains(r#""battery_hours":null"#), "no null");
+    check("idle", json, IDLE);
 }
