@@ -5,7 +5,8 @@
 
 use crate::controller::{PartitionSwitch, PlanAudit, TierTimes};
 use crate::sketch::QuantileSketch;
-use std::fmt::{self, Display, Write as _};
+use std::fmt::Write as _;
+use std::io::Write as _;
 use xpro_core::PlanCacheStats;
 
 /// Latency percentiles over the completed segments of one node, digested
@@ -409,201 +410,283 @@ impl RunReport {
     }
 
     /// The report as a JSON object (hand-rolled; the workspace carries no
-    /// serialization dependency). Written straight into one buffer sized
-    /// for the node records, which dominate large fleets.
+    /// serialization dependency). Every byte is appended by one small
+    /// writer straight into a buffer sized for the node records, which
+    /// dominate large fleets; float texts are memoized per report, so a
+    /// large fleet's repeated values are formatted once.
     pub fn to_json(&self) -> String {
         // Node records run ~560 bytes each.
-        let mut out =
-            String::with_capacity(1024 + 640 * self.nodes.len() + 512 * self.tenants.len());
-        // Writing into a `String` cannot fail.
-        let _ = self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) -> fmt::Result {
-        write!(
-            out,
-            "{{\"duration_s\":{},\"completed\":{},\"lost\":{},\"retries\":{},\
-             \"latency\":{},\"channel_utilization\":{},\"channel_bad_s\":{},\
-             \"partition_switches\":[",
-            num(self.duration_s),
-            self.total_completed(),
-            self.total_lost(),
-            self.total_retries(),
-            latency_json(&self.fleet_latency()),
-            num(self.channel_utilization),
-            num(self.channel_bad_s),
-        )?;
+        let mut w = JsonWriter::new(
+            1024 + 640 * self.nodes.len() + 512 * self.tenants.len(),
+            // Ten floats per node record, a few dozen elsewhere.
+            10 * self.nodes.len() + 32 * (self.tenants.len() + 2),
+        );
+        let fleet = self.fleet_latency();
+        w.float("{\"duration_s\":", self.duration_s);
+        w.uint(",\"completed\":", self.total_completed());
+        w.uint(",\"lost\":", self.total_lost());
+        w.uint(",\"retries\":", self.total_retries());
+        w.latency(",\"latency\":", &fleet);
+        w.float(",\"channel_utilization\":", self.channel_utilization);
+        w.float(",\"channel_bad_s\":", self.channel_bad_s);
+        w.raw(",\"partition_switches\":[");
         for (i, s) in self.partition_switches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"time_s\":{},\"tier\":\"{}\",\"sensor_cells\":{},\"factor\":{}}}",
-                num(s.time_s),
-                s.tier.as_str(),
-                s.sensor_cells,
-                num(s.factor),
-            )?;
+            w.float(
+                if i == 0 {
+                    "{\"time_s\":"
+                } else {
+                    ",{\"time_s\":"
+                },
+                s.time_s,
+            );
+            w.string(",\"tier\":", s.tier.as_str());
+            w.uint(",\"sensor_cells\":", s.sensor_cells as u64);
+            w.float(",\"factor\":", s.factor);
+            w.raw("}");
         }
+        w.tier_times("],\"tier_times\":", &self.tier_times);
+        w.uint(",\"plan_audit\":{\"certified\":", self.plan_audit.certified);
+        w.uint(",\"rejected\":", self.plan_audit.rejected);
+        w.uint("},\"plan_cache\":{\"hits\":", self.plan_cache.hits);
+        w.uint(",\"misses\":", self.plan_cache.misses);
+        w.uint(",\"rejected\":", self.plan_cache.rejected);
         let agg = &self.aggregator;
-        write!(
-            out,
-            "],\"tier_times\":{},\
-             \"plan_audit\":{{\"certified\":{},\"rejected\":{}}},\
-             \"plan_cache\":{{\"hits\":{},\"misses\":{},\"rejected\":{}}},\
-             \"aggregator\":{{\"batches\":{},\"max_batch\":{},\"peak_inbox\":{},\"busy_s\":{},\
-             \"utilization\":{},\"energy_pj\":{},\"battery_hours\":{},\
-             \"outage_s\":{},\"inbox_overflows\":{},\
-             \"admission_rejected\":{},\"quarantine_dropped\":{}}},\
-             \"tenants\":[",
-            tier_times_json(&self.tier_times),
-            self.plan_audit.certified,
-            self.plan_audit.rejected,
-            self.plan_cache.hits,
-            self.plan_cache.misses,
-            self.plan_cache.rejected,
-            agg.batches,
-            agg.max_batch,
-            agg.peak_inbox,
-            num(agg.busy_s),
-            num(agg.utilization),
-            num(agg.energy_pj),
-            num(agg.battery_hours),
-            num(agg.outage_s),
-            agg.inbox_overflows,
-            agg.admission_rejected,
-            agg.quarantine_dropped,
-        )?;
+        w.uint("},\"aggregator\":{\"batches\":", agg.batches);
+        w.uint(",\"max_batch\":", agg.max_batch);
+        w.uint(",\"peak_inbox\":", agg.peak_inbox);
+        w.float(",\"busy_s\":", agg.busy_s);
+        w.float(",\"utilization\":", agg.utilization);
+        w.float(",\"energy_pj\":", agg.energy_pj);
+        w.float(",\"battery_hours\":", agg.battery_hours);
+        w.float(",\"outage_s\":", agg.outage_s);
+        w.uint(",\"inbox_overflows\":", agg.inbox_overflows);
+        w.uint(",\"admission_rejected\":", agg.admission_rejected);
+        w.uint(",\"quarantine_dropped\":", agg.quarantine_dropped);
+        w.raw("},\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"name\":{},\"first_node\":{},\"nodes\":{},\"offered\":{},\
-                 \"admitted\":{},\"completed\":{},\"admission_rejected\":{},\
-                 \"inbox_overflow\":{},\"quarantine_dropped\":{},\"quarantines\":{},\
-                 \"reserved_inbox\":{},\"peak_inbox\":{},\"delivery_rate\":{},\
-                 \"latency\":{},\"tier_times\":{}}}",
-                json_str(&t.name),
-                t.first_node,
-                t.nodes,
-                t.segments_offered,
-                t.admitted,
-                t.completed,
-                t.admission_rejected,
-                t.inbox_overflow,
-                t.quarantine_dropped,
-                t.quarantines,
-                t.reserved_inbox,
-                t.peak_inbox,
-                num(t.delivery_rate),
-                latency_json(&t.latency),
-                tier_times_json(&t.tier_times),
-            )?;
+            w.string(if i == 0 { "{\"name\":" } else { ",{\"name\":" }, &t.name);
+            w.uint(",\"first_node\":", t.first_node as u64);
+            w.uint(",\"nodes\":", t.nodes as u64);
+            w.uint(",\"offered\":", t.segments_offered);
+            w.uint(",\"admitted\":", t.admitted);
+            w.uint(",\"completed\":", t.completed);
+            w.uint(",\"admission_rejected\":", t.admission_rejected);
+            w.uint(",\"inbox_overflow\":", t.inbox_overflow);
+            w.uint(",\"quarantine_dropped\":", t.quarantine_dropped);
+            w.uint(",\"quarantines\":", t.quarantines);
+            w.uint(",\"reserved_inbox\":", t.reserved_inbox);
+            w.uint(",\"peak_inbox\":", t.peak_inbox);
+            w.float(",\"delivery_rate\":", t.delivery_rate);
+            w.latency(",\"latency\":", &t.latency);
+            w.tier_times(",\"tier_times\":", &t.tier_times);
+            w.raw("}");
         }
-        out.push_str("],\"nodes\":[");
+        w.raw("],\"nodes\":[");
         for (i, n) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"node\":{},\"offered\":{},\"completed\":{},\"dropped\":{},\
-                 \"timed_out\":{},\"lost_to_crash\":{},\"shed\":{},\"overflowed\":{},\
-                 \"admission_rejected\":{},\"quarantined\":{},\
-                 \"crashes\":{},\"battery_depleted\":{},\
-                 \"frame_attempts\":{},\"frame_drops\":{},\"retries\":{},\
-                 \"throughput_hz\":{},\"latency\":{},\"compute_pj\":{},\"wireless_pj\":{},\
-                 \"battery_hours\":{},\"battery_drawdown\":{}}}",
-                n.node,
-                n.segments_offered,
-                n.segments_completed,
-                n.segments_dropped,
-                n.segments_timed_out,
-                n.segments_lost_to_crash,
-                n.segments_shed,
-                n.segments_overflowed,
-                n.segments_admission_rejected,
-                n.segments_quarantined,
-                n.crashes,
-                n.battery_depleted,
-                n.frame_attempts,
-                n.frame_drops,
-                n.retries,
-                num(n.throughput_hz),
-                latency_json(&n.latency),
-                num(n.compute_pj),
-                num(n.wireless_pj),
-                num(n.battery_hours),
-                num(n.battery_drawdown),
-            )?;
+            w.uint(
+                if i == 0 { "{\"node\":" } else { ",{\"node\":" },
+                n.node as u64,
+            );
+            w.uint(",\"offered\":", n.segments_offered);
+            w.uint(",\"completed\":", n.segments_completed);
+            w.uint(",\"dropped\":", n.segments_dropped);
+            w.uint(",\"timed_out\":", n.segments_timed_out);
+            w.uint(",\"lost_to_crash\":", n.segments_lost_to_crash);
+            w.uint(",\"shed\":", n.segments_shed);
+            w.uint(",\"overflowed\":", n.segments_overflowed);
+            w.uint(",\"admission_rejected\":", n.segments_admission_rejected);
+            w.uint(",\"quarantined\":", n.segments_quarantined);
+            w.uint(",\"crashes\":", n.crashes);
+            w.raw(if n.battery_depleted {
+                ",\"battery_depleted\":true"
+            } else {
+                ",\"battery_depleted\":false"
+            });
+            w.uint(",\"frame_attempts\":", n.frame_attempts);
+            w.uint(",\"frame_drops\":", n.frame_drops);
+            w.uint(",\"retries\":", n.retries);
+            w.float(",\"throughput_hz\":", n.throughput_hz);
+            w.latency(",\"latency\":", &n.latency);
+            w.float(",\"compute_pj\":", n.compute_pj);
+            w.float(",\"wireless_pj\":", n.wireless_pj);
+            w.float(",\"battery_hours\":", n.battery_hours);
+            w.float(",\"battery_drawdown\":", n.battery_drawdown);
+            w.raw("}");
         }
-        out.push_str("]}");
-        Ok(())
+        w.raw("]}");
+        w.finish()
     }
 }
 
-/// A JSON number: `f64`'s shortest round-trip `Display` form, or `null`
-/// for NaN and infinities (which JSON cannot represent).
-fn num(x: f64) -> impl Display {
-    fmt::from_fn(move |f| {
-        if x.is_finite() {
-            write!(f, "{x}")
-        } else {
-            f.write_str("null")
+/// `"00"`, `"01"`, …, `"99"`: the two-digit groups integers are written in.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Longest float text a memo slot holds. `Display` writes a float as a
+/// plain decimal of up to 17 significant digits, so the values a report
+/// carries (seconds, picojoules, ratios) fit; `1e300` or a subnormal
+/// does not and is written uncached.
+const SLOT_TEXT: usize = 23;
+
+/// One direct-mapped memo entry: a float's bit pattern and its text.
+#[derive(Clone, Copy)]
+struct FloatSlot {
+    bits: u64,
+    /// Length of `text`; 0 marks an empty slot (no float's text is empty).
+    len: u8,
+    text: [u8; SLOT_TEXT],
+}
+
+/// Appends JSON straight into one byte buffer: keys and punctuation as
+/// constant strings, integers through [`DIGIT_PAIRS`], floats as `f64`'s
+/// shortest round-trip `Display` form (`null` when not finite, which JSON
+/// cannot represent).
+///
+/// Float texts are memoized in a direct-mapped table keyed by the full
+/// bit pattern. A report's per-node floats are functions of a few small
+/// counters (costs times counts, quantile-sketch bucket values), so a
+/// 50 000-node report holds only tens of distinct values per field. A
+/// hit copies the cached bytes; a miss formats with `Display` and fills
+/// the slot. Every cached text is `Display`'s own output for exactly
+/// those bits, so the bytes equal the unmemoized writer's.
+struct JsonWriter {
+    out: Vec<u8>,
+    memo: Vec<FloatSlot>,
+    /// `64 - log2(memo.len())`: a hashed bit pattern's top bits pick
+    /// its slot.
+    shift: u32,
+}
+
+impl JsonWriter {
+    /// Memo slots at most: 4096 × 32 bytes stay in a core's L2 cache.
+    const MAX_SLOTS: usize = 1 << 12;
+
+    /// A writer with `bytes` of output capacity and a memo sized for
+    /// about `floats` float fields.
+    fn new(bytes: usize, floats: usize) -> Self {
+        let slots = floats.next_power_of_two().clamp(16, Self::MAX_SLOTS);
+        let empty = FloatSlot {
+            bits: 0,
+            len: 0,
+            text: [0; SLOT_TEXT],
+        };
+        JsonWriter {
+            out: Vec::with_capacity(bytes),
+            memo: vec![empty; slots],
+            shift: 64 - slots.trailing_zeros(),
         }
-    })
-}
+    }
 
-fn latency_json(l: &LatencyStats) -> impl Display + '_ {
-    fmt::from_fn(move |f| {
-        write!(
-            f,
-            "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
-            l.count,
-            num(l.mean_s),
-            num(l.p50_s),
-            num(l.p95_s),
-            num(l.p99_s),
-            num(l.max_s)
-        )
-    })
-}
+    /// The memo slot of a bit pattern (Fibonacci hashing: the multiply
+    /// carries every input bit into the top bits).
+    fn slot(&self, bits: u64) -> usize {
+        (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
 
-fn tier_times_json(t: &TierTimes) -> impl Display + '_ {
-    fmt::from_fn(move |f| {
-        write!(
-            f,
-            "{{\"normal_s\":{},\"classify_only_s\":{},\"shed_s\":{}}}",
-            num(t.normal_s),
-            num(t.classify_only_s),
-            num(t.shed_s)
-        )
-    })
-}
+    fn raw(&mut self, s: &str) {
+        self.out.extend_from_slice(s.as_bytes());
+    }
 
-/// A JSON string literal (RFC 8259 §7): quotation mark, reverse solidus
-/// and control characters are escaped, everything else is written as raw
-/// UTF-8.
-fn json_str(s: &str) -> impl Display + '_ {
-    fmt::from_fn(move |f| {
-        f.write_char('"')?;
+    /// `prefix`, then `v` in decimal.
+    fn uint(&mut self, prefix: &str, mut v: u64) {
+        self.raw(prefix);
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            buf[at] = b'0' + v as u8;
+        }
+        self.out.extend_from_slice(&buf[at..]);
+    }
+
+    /// `prefix`, then `x` as a JSON number (`null` when not finite).
+    fn float(&mut self, prefix: &str, x: f64) {
+        self.raw(prefix);
+        if !x.is_finite() {
+            self.raw("null");
+            return;
+        }
+        let bits = x.to_bits();
+        let i = self.slot(bits);
+        let slot = &self.memo[i];
+        if slot.len > 0 && slot.bits == bits {
+            self.out
+                .extend_from_slice(&slot.text[..usize::from(slot.len)]);
+            return;
+        }
+        let start = self.out.len();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(self.out, "{x}");
+        let text = &self.out[start..];
+        if text.len() <= SLOT_TEXT {
+            let slot = &mut self.memo[i];
+            slot.bits = bits;
+            slot.len = text.len() as u8;
+            slot.text[..text.len()].copy_from_slice(text);
+        }
+    }
+
+    /// `prefix`, then `s` as a JSON string literal (RFC 8259 §7):
+    /// quotation mark, reverse solidus and control characters are
+    /// escaped, everything else is written as raw UTF-8.
+    fn string(&mut self, prefix: &str, s: &str) {
+        self.raw(prefix);
+        self.out.push(b'"');
         for c in s.chars() {
             match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
-                c => f.write_char(c)?,
+                '"' => self.raw("\\\""),
+                '\\' => self.raw("\\\\"),
+                '\n' => self.raw("\\n"),
+                '\r' => self.raw("\\r"),
+                '\t' => self.raw("\\t"),
+                c if c < ' ' => {
+                    let hex = b"0123456789abcdef";
+                    let b = c as usize;
+                    self.raw("\\u00");
+                    self.out.extend_from_slice(&[hex[b >> 4], hex[b & 0xf]]);
+                }
+                c => self.raw(c.encode_utf8(&mut [0; 4])),
             }
         }
-        f.write_char('"')
-    })
+        self.out.push(b'"');
+    }
+
+    fn latency(&mut self, prefix: &str, l: &LatencyStats) {
+        self.raw(prefix);
+        self.uint("{\"count\":", l.count);
+        self.float(",\"mean_s\":", l.mean_s);
+        self.float(",\"p50_s\":", l.p50_s);
+        self.float(",\"p95_s\":", l.p95_s);
+        self.float(",\"p99_s\":", l.p99_s);
+        self.float(",\"max_s\":", l.max_s);
+        self.raw("}");
+    }
+
+    fn tier_times(&mut self, prefix: &str, t: &TierTimes) {
+        self.raw(prefix);
+        self.float("{\"normal_s\":", t.normal_s);
+        self.float(",\"classify_only_s\":", t.classify_only_s);
+        self.float(",\"shed_s\":", t.shed_s);
+        self.raw("}");
+    }
+
+    fn finish(self) -> String {
+        String::from_utf8(self.out).expect("the writer appends only UTF-8")
+    }
 }
 
 #[cfg(test)]
@@ -656,22 +739,117 @@ mod tests {
         assert_eq!(s.max_s, 5.0);
     }
 
+    /// What `write` appends through a fresh writer.
+    fn written(write: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::new(0, 0);
+        write(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn tenant_names_are_valid_json_strings() {
+        let json_str = |s: &str| written(|w| w.string("", s));
         // Rust's `Debug` would write `\u{7}` and `\u{200b}`, neither of
         // which is a JSON escape.
-        assert_eq!(json_str("a\u{7}b").to_string(), "\"a\\u0007b\"");
-        assert_eq!(json_str("z\u{200b}w").to_string(), "\"z\u{200b}w\"");
-        assert_eq!(
-            json_str("q\"b\\s\n\u{1f}").to_string(),
-            r#""q\"b\\s\n\u001f""#
-        );
+        assert_eq!(json_str("a\u{7}b"), "\"a\\u0007b\"");
+        assert_eq!(json_str("z\u{200b}w"), "\"z\u{200b}w\"");
+        assert_eq!(json_str("q\"b\\s\n\u{1f}"), r#""q\"b\\s\n\u001f""#);
         for name in ["health", "fitness", "tenant-7 (EU)", "it's"] {
             assert_eq!(
-                json_str(name).to_string(),
+                json_str(name),
                 format!("{name:?}"),
                 "ASCII names are unchanged"
             );
+        }
+    }
+
+    #[test]
+    fn floats_are_written_as_display_or_null() {
+        let smallest_subnormal = f64::from_bits(1);
+        for x in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            smallest_subnormal,
+            // 23 and 26 characters: the longest cached text, and one
+            // just too long for a slot.
+            1e22,
+            1e25,
+            1e300,
+            f64::MAX,
+            -f64::MAX,
+            0.1,
+            1.0 / 3.0,
+        ] {
+            // Twice: the second write is a memo hit where the text fits.
+            assert_eq!(
+                written(|w| {
+                    w.float("", x);
+                    w.float(",", x);
+                }),
+                format!("{x},{x}")
+            );
+        }
+        for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(written(|w| w.float("", x)), "null", "{x}");
+        }
+    }
+
+    #[test]
+    fn random_bit_patterns_match_display() {
+        // A small memo, so hits, misses and evictions all occur.
+        let mut w = JsonWriter::new(0, 16);
+        let mut rng = crate::rng::XorShiftRng::new(0x5eed);
+        let mut expected = String::new();
+        for i in 0..100_000u64 {
+            let raw = rng.next_u64();
+            // Any pattern (mostly texts too long to cache), a random
+            // mantissa near 1.0 (cached, then evicted) or one of 64
+            // values (memo hits).
+            let x = match i % 3 {
+                0 => f64::from_bits(raw),
+                1 => f64::from_bits(
+                    (raw & 0x800f_ffff_ffff_ffff) | ((1013 + (raw >> 58 & 15)) << 52),
+                ),
+                _ => (raw % 64) as f64 / 7.0,
+            };
+            w.float(",", x);
+            if x.is_finite() {
+                let _ = write!(expected, ",{x}");
+            } else {
+                expected.push_str(",null");
+            }
+        }
+        assert!(
+            w.finish() == expected,
+            "a float's text differs from Display"
+        );
+    }
+
+    #[test]
+    fn colliding_bit_patterns_both_come_out_right() {
+        let mut w = JsonWriter::new(0, 16);
+        let a = 0.25f64;
+        let b = (1..)
+            .map(|k| f64::from(k) * 0.125)
+            .find(|b| b.to_bits() != a.to_bits() && w.slot(b.to_bits()) == w.slot(a.to_bits()))
+            .expect("a 16-slot memo has a collision");
+        for _ in 0..3 {
+            w.float(",", a);
+            w.float(",", b);
+        }
+        assert_eq!(w.finish(), format!(",{a},{b}").repeat(3));
+    }
+
+    #[test]
+    fn integers_match_to_string() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        for v in values {
+            assert_eq!(written(|w| w.uint("", v)), v.to_string());
         }
     }
 
