@@ -19,10 +19,11 @@
 //! proven. Envelope-width drift alone is not a regression (widths move with
 //! legitimate transfer-function refinements); verdicts are the contract.
 //!
-//! No serde: the document is hand-rolled and re-parsed by a minimal,
-//! format-specific reader, keeping the analyzer dependency-free.
+//! The document is written through the workspace's shared JSON writer
+//! and read back by its strict reader ([`crate::json`]).
 
 use crate::analysis::{AnalysisReport, Verdict};
+use crate::json::{JsonError, JsonReader, JsonWriter};
 
 /// Findings-format version stamped into every document.
 ///
@@ -36,11 +37,12 @@ use crate::analysis::{AnalysisReport, Verdict};
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Severity of one finding, ordered from best to worst.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// The property is proven: overflow-free with bounded rounding error
     /// (range findings) or statically bounded within budget (timing and
     /// energy findings).
+    #[default]
     Proven,
     /// The cell is range-safe but its rounding envelope exceeds the
     /// configured threshold.
@@ -90,7 +92,7 @@ pub const APPROX_CELL_BASE: usize = 20_000;
 /// One machine-readable finding: the combined verdict for one cell of one
 /// analyzed configuration, or (at synthetic cell indices ≥
 /// [`TIMING_CELL_BASE`]) one timing/energy verdict of that configuration.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Finding {
     /// Configuration the analysis ran on (dataset symbol or `"default"`).
     pub config: String,
@@ -153,144 +155,125 @@ pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| a.config.cmp(&b.config).then(a.cell.cmp(&b.cell)));
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `x`, or for a value JSON cannot hold the largest finite one of its
+/// sign (`f64::MAX` for NaN).
+fn finite(x: f64) -> f64 {
+    match x {
+        x if x.is_finite() => x,
+        x if x < 0.0 => f64::MIN,
+        _ => f64::MAX,
     }
-    out
 }
 
 /// Renders findings as the canonical byte-stable JSON document: sorted,
-/// fixed float formatting, one finding per line.
+/// fixed float formatting, one finding per line. A non-finite float is
+/// written as the largest finite value of its sign, so the document
+/// always reads back through [`parse_findings`].
 pub fn render_findings(findings: &[Finding]) -> String {
     let mut sorted = findings.to_vec();
     sort_findings(&mut sorted);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"version\": {FORMAT_VERSION},\n"));
-    out.push_str("  \"findings\": [\n");
+    let mut w = JsonWriter::new(64 + 256 * sorted.len(), 0);
+    w.uint("{\n  \"version\": ", u64::from(FORMAT_VERSION));
+    w.raw(",\n  \"findings\": [\n");
     for (i, f) in sorted.iter().enumerate() {
-        let sep = if i + 1 == sorted.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"cell\": {}, \"label\": \"{}\", \"rule\": \"{}\", \
-             \"severity\": \"{}\", \"bound\": {:.6}, \"interval_width\": {:.6}, \
-             \"affine_width\": {:.6}}}{sep}\n",
-            escape(&f.config),
-            f.cell,
-            escape(&f.label),
-            escape(&f.rule),
-            f.severity.as_str(),
-            f.bound,
-            f.interval_width,
-            f.affine_width,
+        w.string("    {\"config\": ", &f.config);
+        w.uint(", \"cell\": ", f.cell as u64);
+        w.string(", \"label\": ", &f.label);
+        w.string(", \"rule\": ", &f.rule);
+        w.string(", \"severity\": ", f.severity.as_str());
+        w.raw(&format!(
+            ", \"bound\": {:.6}, \"interval_width\": {:.6}, \"affine_width\": {:.6}}}",
+            finite(f.bound),
+            finite(f.interval_width),
+            finite(f.affine_width)
         ));
+        w.raw(if i + 1 == sorted.len() { "\n" } else { ",\n" });
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.raw("  ]\n}\n");
+    w.finish()
 }
 
-/// Reads the value of `key` on one rendered line: a string, undoing every
-/// escape [`escape`] writes, or the trimmed raw text of a number. `None`
-/// when the key is absent, the string is unterminated or an escape is
-/// malformed.
-fn field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let Some(body) = rest.strip_prefix('"') else {
-        return rest.split([',', '}']).next().map(|v| v.trim().to_string());
-    };
-    let mut out = String::new();
-    let mut chars = body.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .ok()
-                        .filter(|_| hex.len() == 4)?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses a findings document produced by [`render_findings`].
+/// Parses a findings document: `{"version": N, "findings": [...]}`, each
+/// finding a flat object with exactly the keys [`render_findings`]
+/// writes, in any order.
 ///
-/// The reader is format-specific: it understands exactly the canonical
-/// one-finding-per-line layout (which is what the gate compares against)
-/// and rejects anything else with a line-numbered message.
+/// The read is strict: the version comes first and is checked before
+/// any finding is decoded; an unknown, duplicate or missing key, a value
+/// of the wrong type, a severity outside [`Severity::parse`] and any
+/// byte after the document are errors, so an empty or cut-short baseline
+/// fails to read instead of gating against too few findings.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line, or a migration
-/// message when the document's `"version"` header does not match
-/// [`FORMAT_VERSION`] (regenerate the baseline with
-/// `analyze --table1 --write-baseline` after a format bump).
+/// Returns the first error with its byte offset, or a migration message
+/// when the document's `"version"` does not match [`FORMAT_VERSION`]
+/// (regenerate the baseline with `analyze --table1 --write-baseline`
+/// after a format bump).
 pub fn parse_findings(text: &str) -> Result<Vec<Finding>, String> {
+    read_findings(text).map_err(|e| e.to_string())
+}
+
+fn read_findings(text: &str) -> Result<Vec<Finding>, JsonError> {
+    let mut r = JsonReader::new(text);
     let mut findings = Vec::new();
-    let mut version: Option<u32> = None;
-    for (num, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if version.is_none() {
-            if let Some(v) = field(line, "version") {
-                let v: u32 = v
-                    .parse()
-                    .map_err(|e| format!("line {}: version: {e}", num + 1))?;
+    let mut version_read = false;
+    r.object(&["version", "findings"], |r, key| {
+        match key {
+            "version" => {
+                let v: u32 = r.parse(key)?;
                 if v != FORMAT_VERSION {
-                    return Err(format!(
+                    return Err(r.error(format!(
                         "findings format version {v} does not match the current version \
                          {FORMAT_VERSION}; regenerate the baseline with \
                          `analyze --table1 --write-baseline <path>`"
-                    ));
+                    )));
                 }
-                version = Some(v);
-                continue;
+                version_read = true;
             }
+            "findings" if !version_read => return Err(r.error("expected \"version\" first")),
+            "findings" => r.array(|r| {
+                findings.push(read_finding(r)?);
+                Ok(())
+            })?,
+            _ => return Ok(false),
         }
-        if !line.starts_with("{\"config\"") && !line.starts_with("{ \"config\"") {
-            continue;
-        }
-        let get = |key: &str| {
-            field(line, key)
-                .ok_or_else(|| format!("line {}: missing or malformed field {key}", num + 1))
-        };
-        let severity = Severity::parse(&get("severity")?)
-            .ok_or_else(|| format!("line {}: bad severity", num + 1))?;
-        let parse_f64 = |key: &str| -> Result<f64, String> {
-            get(key)?
-                .parse()
-                .map_err(|e| format!("line {}: {key}: {e}", num + 1))
-        };
-        findings.push(Finding {
-            config: get("config")?,
-            cell: get("cell")?
-                .parse()
-                .map_err(|e| format!("line {}: cell: {e}", num + 1))?,
-            label: get("label")?,
-            rule: get("rule")?,
-            severity,
-            bound: parse_f64("bound")?,
-            interval_width: parse_f64("interval_width")?,
-            affine_width: parse_f64("affine_width")?,
-        });
-    }
+        Ok(true)
+    })?;
+    r.end()?;
     Ok(findings)
+}
+
+fn read_finding(r: &mut JsonReader<'_>) -> Result<Finding, JsonError> {
+    let mut f = Finding::default();
+    let keys = [
+        "config",
+        "cell",
+        "label",
+        "rule",
+        "severity",
+        "bound",
+        "interval_width",
+        "affine_width",
+    ];
+    r.object(&keys, |r, key| {
+        match key {
+            "config" => f.config = r.string()?,
+            "cell" => f.cell = r.parse(key)?,
+            "label" => f.label = r.string()?,
+            "rule" => f.rule = r.string()?,
+            "severity" => {
+                let s = r.string()?;
+                f.severity =
+                    Severity::parse(&s).ok_or_else(|| r.error(format!("bad severity {s:?}")))?;
+            }
+            "bound" => f.bound = r.parse(key)?,
+            "interval_width" => f.interval_width = r.parse(key)?,
+            "affine_width" => f.affine_width = r.parse(key)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    Ok(f)
 }
 
 /// One gate violation: a finding whose severity regressed past the
@@ -428,22 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_strings_are_rejected() {
-        assert_eq!(
-            field(r#"{"label": "a\u0041\"b"}"#, "label").as_deref(),
-            Some("aA\"b")
-        );
-        for bad in [
-            r#""label": "\q""#,
-            r#""label": "\u00""#,
-            r#""label": "\ud800""#,
-            r#""label": "open"#,
-        ] {
-            assert_eq!(field(bad, "label"), None, "{bad}");
-        }
-    }
-
-    #[test]
     fn severity_increase_is_a_regression() {
         let baseline = vec![finding("C1", 0, "Var@d3", Severity::Proven)];
         let current = vec![finding("C1", 0, "Var@d3", Severity::MayOverflow)];
@@ -517,6 +484,50 @@ mod tests {
         assert!(parse_findings(doc).is_err());
     }
 
+    /// Malformed documents: nothing, no version, findings ahead of the
+    /// version, a finding with a key too many, twice or too few, a bad
+    /// severity, or bytes after the closing brace.
+    #[test]
+    fn malformed_documents_are_errors_with_offsets() {
+        let doc = render_findings(&[finding("C1", 0, "Var@d3", Severity::Proven)]);
+        let one = &doc[doc.find("{\"config\"").unwrap()..doc.rfind('}').unwrap() - 4];
+        for (bad, message) in [
+            (String::new(), "expected '{' at byte 0"),
+            ("hello".into(), "expected '{' at byte 0"),
+            (
+                format!("{{\"findings\": [{one}]}}"),
+                "expected \"version\" first",
+            ),
+            (
+                format!("{{\"findings\": [], \"version\": {FORMAT_VERSION}}}"),
+                "expected \"version\" first",
+            ),
+            (
+                doc.replace("\"rule\"", "\"rules\""),
+                "unknown key \"rules\"",
+            ),
+            (
+                doc.replace("\"rule\"", "\"label\""),
+                "duplicate key \"label\"",
+            ),
+            (
+                doc.replace("\"rule\": \"range.proven\", ", ""),
+                "missing key \"rule\"",
+            ),
+            (
+                doc.replace("\"proven\"", "\"fine\""),
+                "bad severity \"fine\"",
+            ),
+            (format!("{doc}{{}}"), "expected the end of input"),
+        ] {
+            let err = parse_findings(&bad).expect_err(&bad);
+            assert!(
+                err.contains(message) && err.contains(" at byte "),
+                "{bad}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn stale_format_version_asks_for_regeneration() {
         let current = render_findings(&[finding("C1", 0, "Var@d3", Severity::Proven)]);
@@ -531,6 +542,24 @@ mod tests {
         let doc = render_findings(&[finding("C1", 0, "Var@d3", Severity::Proven)]);
         assert!(doc.contains(&format!("\"version\": {FORMAT_VERSION}")));
         assert_eq!(parse_findings(&doc).expect("parse").len(), 1);
+    }
+
+    /// JSON has no infinity or NaN: such a finding is written as the
+    /// largest finite value of its sign, which reads back and renders to
+    /// the same bytes.
+    #[test]
+    fn non_finite_floats_render_to_a_readable_document() {
+        let mut f = finding("T", TIMING_CELL_BASE, "wcrt@wc", Severity::Violation);
+        (f.bound, f.interval_width, f.affine_width) = (f64::INFINITY, f64::NEG_INFINITY, f64::NAN);
+        let doc = render_findings(&[f]);
+        assert!(!doc.contains("inf") && !doc.contains("NaN"), "{doc}");
+        let back = parse_findings(&doc).expect("a rendered document reads back");
+        let g = &back[0];
+        assert_eq!(
+            (g.bound, g.interval_width, g.affine_width),
+            (f64::MAX, f64::MIN, f64::MAX)
+        );
+        assert_eq!(render_findings(&back), doc);
     }
 
     #[test]

@@ -37,6 +37,10 @@
 //! turns the same model into worst-case per-epoch energy and battery-
 //! lifetime floors. Those verdicts flow through the same findings gate at
 //! synthetic cell indices ([`gate::TIMING_CELL_BASE`]).
+//!
+//! [`json`] is the workspace's one JSON writer and strict reader: the
+//! findings document and the runtime's run reports are written through
+//! it, and findings baselines and `--tenants` tables are read by it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -47,6 +51,7 @@ pub mod approx;
 pub mod energy;
 pub mod gate;
 pub mod interval;
+pub mod json;
 pub mod timing;
 
 pub use affine::{AffineForm, SymbolCtx};

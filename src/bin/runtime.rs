@@ -18,6 +18,7 @@
 //!         --mtbf-s 30 --mttr-s 2 --adaptive`
 
 use std::process::ExitCode;
+use xpro::analyze::json::{JsonError, JsonReader};
 use xpro::core::generator::Engine;
 use xpro::core::XProError;
 use xpro::data::{generate_case_sized, CaseId};
@@ -251,133 +252,37 @@ where
         .map_err(|e| format!("{flag}: {e}"))
 }
 
-/// Parses a tenant-spec file: a JSON array of flat objects with string,
-/// number and boolean values (the format `examples/tenants.json`
-/// documents). Hand-rolled like every other (de)serializer in the
-/// workspace — the accepted grammar is exactly the flat subset the spec
-/// needs, nothing more.
-fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, String> {
-    let b = src.as_bytes();
-    let mut i = 0usize;
-    let ws = |i: &mut usize| {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let eat = |i: &mut usize, c: u8| -> Result<(), String> {
-        ws(i);
-        if *i < b.len() && b[*i] == c {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(c), *i))
-        }
-    };
-    let string = |i: &mut usize| -> Result<String, String> {
-        eat(i, b'"')?;
-        let start = *i;
-        while *i < b.len() && b[*i] != b'"' {
-            if b[*i] == b'\\' {
-                return Err("escape sequences are not supported in tenant specs".into());
-            }
-            *i += 1;
-        }
-        if *i >= b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&b[start..*i])
-            .map_err(|_| "tenant spec is not UTF-8".to_string())?
-            .to_string();
-        *i += 1;
-        Ok(s)
-    };
-    let scalar = |i: &mut usize| -> Result<String, String> {
-        ws(i);
-        let start = *i;
-        while *i < b.len() && !b[*i].is_ascii_whitespace() && !b",}]".contains(&b[*i]) {
-            *i += 1;
-        }
-        if start == *i {
-            return Err(format!("expected a value at byte {start}"));
-        }
-        Ok(std::str::from_utf8(&b[start..*i]).unwrap_or("").to_string())
-    };
+/// Parses a tenant-spec file: a JSON array of flat objects (the format
+/// `examples/tenants.json` documents), read strictly: an unknown,
+/// duplicate or missing key, a value of the wrong type and any byte after
+/// the array are errors.
+fn parse_tenants(src: &str) -> Result<Vec<TenantSpec>, XProError> {
+    read_tenants(src).map_err(|e| XProError::config(format!("tenant table: {e}")))
+}
 
-    // The closing `]` may be followed by whitespace only.
-    let close = |i: &mut usize| -> Result<(), String> {
-        eat(i, b']')?;
-        ws(i);
-        if *i < b.len() {
-            return Err(format!(
-                "unexpected bytes after the closing ']' at byte {i}"
-            ));
-        }
-        Ok(())
-    };
-
+fn read_tenants(src: &str) -> Result<Vec<TenantSpec>, JsonError> {
+    let mut r = JsonReader::new(src);
     let mut tenants = Vec::new();
-    eat(&mut i, b'[')?;
-    ws(&mut i);
-    if i < b.len() && b[i] == b']' {
-        close(&mut i)?;
-        return Ok(tenants);
-    }
-    loop {
-        eat(&mut i, b'{')?;
-        let mut name: Option<String> = None;
-        let mut nodes: Option<usize> = None;
-        let mut spec_of = Vec::new(); // (key, raw value) pairs, applied after name/nodes
-        ws(&mut i);
-        if i < b.len() && b[i] != b'}' {
-            loop {
-                let key = string(&mut i)?;
-                eat(&mut i, b':')?;
-                match key.as_str() {
-                    "name" => name = Some(string(&mut i)?),
-                    "nodes" => {
-                        nodes = Some(scalar(&mut i)?.parse().map_err(|e| format!("nodes: {e}"))?);
-                    }
-                    _ => spec_of.push((key, scalar(&mut i)?)),
-                }
-                ws(&mut i);
-                if i < b.len() && b[i] == b',' {
-                    i += 1;
-                } else {
-                    break;
-                }
+    r.array(|r| {
+        let mut spec = TenantSpec::new(String::new(), 0);
+        r.object(&["name", "nodes"], |r, key| {
+            match key {
+                "name" => spec.name = r.string()?,
+                "nodes" => spec.nodes = r.parse(key)?,
+                "weight" => spec.weight = r.parse(key)?,
+                "quota_hz" => spec.quota_hz = r.parse(key)?,
+                "burst" | "quota_burst" => spec.quota_burst = r.parse(key)?,
+                "degrade" => spec.degrade = r.bool()?,
+                "breaker_rounds" => spec.breaker_rounds = r.parse(key)?,
+                "cooldown_s" => spec.cooldown_s = r.parse(key)?,
+                _ => return Ok(false),
             }
-        }
-        eat(&mut i, b'}')?;
-        let name = name.ok_or("tenant object missing \"name\"")?;
-        let nodes = nodes.ok_or_else(|| format!("tenant {name:?} missing \"nodes\""))?;
-        let mut spec = TenantSpec::new(name.clone(), nodes);
-        for (key, raw) in spec_of {
-            let err = |e: &dyn std::fmt::Display| format!("tenant {name:?} {key}: {e}");
-            let num = || raw.parse::<f64>().map_err(|e| err(&e));
-            let int = || raw.parse::<u32>().map_err(|e| err(&e));
-            spec = match key.as_str() {
-                "weight" => spec.weight(int()?),
-                "quota_hz" => spec.quota_hz(num()?),
-                "burst" | "quota_burst" => spec.quota_burst(int()?),
-                "degrade" => spec.degrade(match raw.as_str() {
-                    "true" => true,
-                    "false" => false,
-                    other => return Err(format!("tenant {name:?} degrade: {other:?}")),
-                }),
-                "breaker_rounds" => spec.breaker_rounds(int()?),
-                "cooldown_s" => spec.cooldown_s(num()?),
-                other => return Err(format!("tenant {name:?}: unknown key {other:?}")),
-            };
-        }
+            Ok(true)
+        })?;
         tenants.push(spec);
-        ws(&mut i);
-        if i < b.len() && b[i] == b',' {
-            i += 1;
-        } else {
-            break;
-        }
-    }
-    close(&mut i)?;
+        Ok(())
+    })?;
+    r.end()?;
     Ok(tenants)
 }
 
@@ -706,7 +611,7 @@ mod tests {
         }
     }
 
-    fn one(fields: &str) -> Result<xpro::runtime::TenantSpec, String> {
+    fn one(fields: &str) -> Result<xpro::runtime::TenantSpec, xpro::core::XProError> {
         let mut specs = parse_tenants(&format!(r#"[{{"name": "t", "nodes": 2{fields}}}]"#))?;
         assert_eq!(specs.len(), 1);
         Ok(specs.remove(0))
@@ -737,7 +642,7 @@ mod tests {
         for key in ["weight", "burst", "quota_burst", "breaker_rounds"] {
             for bad in ["2.9", "-1", "1e12", "4294967296", "2.0"] {
                 let err = one(&format!(r#", "{key}": {bad}"#)).expect_err(bad);
-                assert!(err.contains(key), "{key}={bad}: {err}");
+                assert!(err.to_string().contains(key), "{key}={bad}: {err}");
             }
         }
     }
@@ -816,8 +721,42 @@ mod tests {
             "[][]",
             r#"[{"name": "t", "nodes": 1}],"#,
             r#"[{"name": "t", "nodes": 1},]"#,
+            r#"[{"name": "t", "nodes": 1, "nodes": 2}]"#,
+            r#"[{"name": "t", "nodes": 1, "quota_hz": NaN}]"#,
+            r#"[{"name": "t", "nodes": 1, "quota_hz": Infinity}]"#,
+            r#"[{"name": "t", "nodes": 01}]"#,
+            r#"[{"name": "t", "nodes": +1}]"#,
+            r#"[{"name": "t", "nodes": 1,}]"#,
         ] {
-            assert!(parse_tenants(bad).is_err(), "{bad}");
+            let err = parse_tenants(bad).expect_err(bad);
+            assert!(
+                matches!(&err, xpro::core::XProError::Config(msg) if msg.contains(" at byte ")),
+                "{bad}: {err}"
+            );
         }
+    }
+
+    /// Tenant names needing every escape the report writer emits read
+    /// back to exactly those names.
+    #[test]
+    fn escaped_names_parse_to_the_exact_string() {
+        let names = [
+            "q\"uote",
+            "back\\slash",
+            "ctl\u{1}\u{1f}\t\n\r",
+            "ünï\u{200b}code",
+        ];
+        let mut w = xpro::analyze::json::JsonWriter::new(0, 0);
+        w.raw("[");
+        for (i, name) in names.iter().enumerate() {
+            w.string(if i == 0 { "{\"name\":" } else { ",{\"name\":" }, name);
+            w.raw(",\"nodes\":3}");
+        }
+        w.raw("]");
+        let text = w.finish();
+        assert!(text.contains(r#""ctl\u0001\u001f\t\n\r""#), "{text}");
+        let specs = parse_tenants(&text).expect("parses");
+        let parsed: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(parsed, names);
     }
 }

@@ -1,11 +1,11 @@
 //! Hostile-input tests for the findings-baseline reader
 //! (`analyze::parse_findings`), the text the CI gate reads back from disk.
 //!
-//! Every truncation, every single-bit flip and every numeric field set to
-//! an out-of-range or non-finite value must come back as `Ok` or `Err`,
-//! never as a panic. The document is a rendered one: a finding of each
-//! rule family from the checked-in baseline, plus a label that exercises
-//! every escape the writer emits.
+//! Every single-bit flip and every numeric field set to an out-of-range
+//! or non-finite value must come back as `Ok` or `Err`, never as a panic,
+//! and every truncation short of the closing brace as `Err`. The document
+//! is a rendered one: a finding of each rule family from the checked-in
+//! baseline, plus a label that exercises every escape the writer emits.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -69,14 +69,34 @@ fn rendered_document_round_trips() {
     let parsed = parse_findings(doc).expect("parses");
     assert_eq!(render_findings(&parsed), doc);
     assert!(parsed.iter().any(|f| f.label == "q\"uo\\te\nctl\u{1}é"));
+    // The whole checked-in baseline, byte for byte.
+    let baseline = include_str!("../analysis-baseline.json");
+    let findings = parse_findings(baseline).expect("baseline parses");
+    assert_eq!(findings.len(), 546);
+    assert!(
+        render_findings(&findings) == baseline,
+        "baseline re-renders"
+    );
 }
 
+/// Every prefix that ends before the document's closing `}` is an error;
+/// the two that keep it (with and without the final newline) parse.
 #[test]
 fn every_truncation_returns() {
     let doc = document();
     let original = parse_findings(doc).expect("parses");
+    let close = doc.rfind('}').expect("closing brace");
     for n in 0..=doc.len() {
-        read(&String::from_utf8_lossy(&doc.as_bytes()[..n]), &original);
+        let prefix = String::from_utf8_lossy(&doc.as_bytes()[..n]);
+        if n <= close {
+            assert!(
+                parse_findings(&prefix).is_err(),
+                "prefix of {n} bytes parsed"
+            );
+        } else {
+            assert_eq!(parse_findings(&prefix).as_ref(), Ok(&original));
+        }
+        read(&prefix, &original);
     }
 }
 
