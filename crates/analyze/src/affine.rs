@@ -44,11 +44,6 @@ impl SymbolCtx {
         self.next += 1;
         s
     }
-
-    /// Number of symbols issued so far.
-    pub fn issued(&self) -> usize {
-        self.next as usize
-    }
 }
 
 /// A value represented as `center + Σ coeff·ε` with `ε ∈ [-1, 1]`.

@@ -101,9 +101,8 @@ impl std::error::Error for AnalyzeError {}
 
 /// Bounds on the raw input signal, in value units.
 ///
-/// For the normalized biosignal front-end this is `[-1, 1]`
-/// (`normalize_symmetric` maps every segment there); dataset metadata can
-/// tighten or widen it.
+/// The default is `[-1, 1]`; dataset metadata (`Dataset::signal_range`)
+/// can tighten or widen it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SignalBounds {
     /// Smallest possible sample value.

@@ -180,17 +180,6 @@ impl ApproxAnalysis {
     pub fn flippable(&self) -> usize {
         self.svm.iter().filter(|s| s.flippable && !s.pruned).count()
     }
-
-    /// Sound per-cell deviation envelope in value units: the sum of the
-    /// exact and approximate runs' port-0 error envelopes. The runtime
-    /// soundness monitor compares observed deviations against this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn deviation_envelope(&self, cell: usize) -> f64 {
-        (self.exact.cells[cell].output().err_ulps + self.approx.cells[cell].output().err_ulps) * ULP
-    }
 }
 
 /// Runs the exact and injected analyses and proves (or refutes) the

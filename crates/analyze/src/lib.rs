@@ -70,6 +70,6 @@ pub use gate::{
 };
 pub use interval::{Hazard, HazardOp, Interval};
 pub use timing::{
-    analyze_tenant_timing, analyze_timing, tenant_findings, Resource, RetryRegime, TenantModel,
-    TenantTimingBounds, TimingBounds, TimingModel, TimingViolation,
+    analyze_tenant_timing, analyze_timing, Resource, RetryRegime, TenantModel, TenantTimingBounds,
+    TimingBounds, TimingModel, TimingViolation,
 };

@@ -517,14 +517,10 @@ pub struct TenantTimingBounds {
     /// argument per tenant, tightened by the token bucket when a rate
     /// quota is set. [`None`] exactly when `wcrt_s` is.
     pub queue_bound: Option<u64>,
-    /// Why the bounds were refused, when they were: the stable rule name
-    /// emitted as the finding (`timing.tenant_unprovable`).
+    /// Whether the bounds were refused (fleet unprovable, or the tenant
+    /// degrades).
     pub unprovable: bool,
 }
-
-/// Synthetic-cell offset of the per-tenant finding block (above the
-/// per-regime timing rows at +0/+10 and the energy rows at +20).
-const TENANT_CELL_OFFSET: usize = 100;
 
 /// Derives per-tenant bounds from a deployment's fleet envelope.
 ///
@@ -595,44 +591,6 @@ pub fn analyze_tenant_timing(
         })
         .collect();
     Ok((fleet, bounds))
-}
-
-/// The per-tenant bounds as canonical findings: one row per tenant at
-/// stable synthetic cells (`TIMING_CELL_BASE + 100 + 2·i + regime`), so
-/// baselines only grow when a tenant table is actually supplied. `bound`
-/// carries the tenant WCRT, `interval_width` its queue bound,
-/// `affine_width` the fleet contraction factor.
-pub fn tenant_findings(
-    config: &str,
-    fleet: &TimingBounds,
-    tenants: &[TenantTimingBounds],
-) -> Vec<Finding> {
-    let tag = fleet.regime.tag();
-    let regime_slot = match fleet.regime {
-        RetryRegime::FaultFree => 0,
-        RetryRegime::WorstCaseRetry => 1,
-    };
-    tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let (rule, severity) = if t.unprovable {
-                ("timing.tenant_unprovable".to_string(), Severity::Violation)
-            } else {
-                ("timing.tenant.proven".to_string(), Severity::Proven)
-            };
-            Finding {
-                config: config.to_string(),
-                cell: TIMING_CELL_BASE + TENANT_CELL_OFFSET + 2 * i + regime_slot,
-                label: format!("tenant.{}@{tag}", t.name),
-                rule,
-                severity,
-                bound: t.wcrt_s.unwrap_or(0.0),
-                interval_width: t.queue_bound.map_or(0.0, |b| b as f64),
-                affine_width: fleet.contraction,
-            }
-        })
-        .collect()
 }
 
 /// Derives the sound timing bounds of a deployment under a regime.
@@ -905,42 +863,6 @@ mod tests {
             analyze_tenant_timing(&saturated, &steady, RetryRegime::FaultFree).unwrap();
         assert!(fleet.wcrt_s.is_none());
         assert!(tb[0].unprovable, "fleet unprovable refuses every tenant");
-    }
-
-    #[test]
-    fn tenant_findings_use_stable_cells_and_rules() {
-        let m = light_model();
-        let tenants = vec![
-            TenantModel {
-                name: "a".into(),
-                nodes: 3,
-                quota_hz: 0.0,
-                quota_burst: 8,
-                degrade: false,
-            },
-            TenantModel {
-                name: "d".into(),
-                nodes: 1,
-                quota_hz: 0.0,
-                quota_burst: 8,
-                degrade: true,
-            },
-        ];
-        for (regime, slot) in [
-            (RetryRegime::FaultFree, 0),
-            (RetryRegime::WorstCaseRetry, 1),
-        ] {
-            let (fleet, tb) = analyze_tenant_timing(&m, &tenants, regime).unwrap();
-            let f = tenant_findings("C1", &fleet, &tb);
-            assert_eq!(f.len(), 2);
-            assert_eq!(f[0].cell, TIMING_CELL_BASE + 100 + slot);
-            assert_eq!(f[1].cell, TIMING_CELL_BASE + 100 + 2 + slot);
-            assert_eq!(f[0].rule, "timing.tenant.proven");
-            assert_eq!(f[0].severity, Severity::Proven);
-            assert_eq!(f[1].rule, "timing.tenant_unprovable");
-            assert_eq!(f[1].severity, Severity::Violation);
-            assert!(f[0].label.starts_with("tenant.a@"));
-        }
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! Two stock batteries match the paper's setup: a 40 mAh wearable-sensor
 //! cell (§1) and a 2900 mAh aggregator battery ("iPhone 7", §5.6).
 //!
+//! [`transient`] holds the RC circuit itself for terminal-voltage
+//! questions; it is exercised only by tests, and every lifetime in the
+//! workspace comes from [`BatteryModel`].
+//!
 //! # Examples
 //!
 //! ```

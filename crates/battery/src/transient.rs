@@ -26,8 +26,6 @@ pub struct TransientConfig {
     pub r_tl: f64,
     /// Long time-constant capacitance in farads.
     pub c_tl: f64,
-    /// Cutoff (empty) terminal voltage in volts.
-    pub v_cutoff: f64,
 }
 
 impl TransientConfig {
@@ -42,7 +40,6 @@ impl TransientConfig {
             c_ts: 40.0,
             r_tl: 1.1,
             c_tl: 300.0,
-            v_cutoff: 3.0,
         }
     }
 }
@@ -123,34 +120,6 @@ impl TransientBattery {
         self.v_ts = relax(self.v_ts, self.config.r_ts, self.config.c_ts);
         self.v_tl = relax(self.v_tl, self.config.r_tl, self.config.c_tl);
     }
-
-    /// Whether the battery has reached cutoff under the given load.
-    pub fn is_empty(&self, load_a: f64) -> bool {
-        self.soc <= 0.0 || self.terminal_v(load_a) <= self.config.v_cutoff
-    }
-
-    /// Simulates a constant discharge and returns the runtime in hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load_a` is not positive.
-    pub fn runtime_hours_at(config: TransientConfig, load_a: f64) -> f64 {
-        assert!(load_a > 0.0, "load must be positive");
-        let mut battery = TransientBattery::new(config);
-        // Step at 1/200 of the coulombic runtime for accuracy, capped for
-        // very light loads.
-        let coulombic_h = config.capacity_mah / (load_a * 1000.0);
-        let dt = (coulombic_h * 3600.0 / 200.0).min(60.0);
-        let mut t = 0.0;
-        while !battery.is_empty(load_a) {
-            battery.step(load_a, dt);
-            t += dt;
-            if t > coulombic_h * 3600.0 * 2.0 {
-                break; // defensive: never loop past 2× the coulombic bound
-            }
-        }
-        t / 3600.0
-    }
 }
 
 #[cfg(test)]
@@ -185,28 +154,6 @@ mod tests {
         b.soc = 0.03;
         let low = b.open_circuit_v();
         assert!(mid - low > 0.3, "knee too soft: {mid} vs {low}");
-    }
-
-    #[test]
-    fn runtime_tracks_coulomb_count_at_light_load() {
-        // 2 mA (0.05C) from 40 mAh ≈ 20 h minus the cutoff margin.
-        let t = TransientBattery::runtime_hours_at(TransientConfig::sensor_40mah(), 0.002);
-        assert!((14.0..20.5).contains(&t), "runtime {t} h");
-    }
-
-    #[test]
-    fn heavy_load_cuts_off_early() {
-        // 40 mA (1C) through ~3.6 Ω total drops >0.14 V of IR; combined with
-        // the OCV slope, cutoff hits well before the coulombic 1 h.
-        let light = TransientBattery::runtime_hours_at(TransientConfig::sensor_40mah(), 0.002);
-        let heavy = TransientBattery::runtime_hours_at(TransientConfig::sensor_40mah(), 0.040);
-        // Normalize to the coulombic bound to compare fairly.
-        let light_frac = light / (40.0 / 2.0);
-        let heavy_frac = heavy / (40.0 / 40.0);
-        assert!(
-            heavy_frac < light_frac,
-            "heavy {heavy_frac} !< light {light_frac}"
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! on top of it — `xpro-runtime`, the CLIs, the bench harness) returns
 //! `Result<_, XProError>` instead of `Box<dyn Error>` or panicking. The
 //! variants partition the failure surface the way the architecture does:
-//! training the classifier, searching for a partition, numeric validation
-//! of the fixed-point datapath, configuration validation, and I/O.
+//! training the classifier, searching for a partition, checking its cut
+//! certificate, configuration validation, and I/O.
 //!
 //! The enum is `#[non_exhaustive]`: downstream matches must carry a
 //! wildcard arm so new failure classes can be added without a breaking
@@ -22,9 +22,6 @@ pub enum XProError {
     /// No partition satisfies the requested constraints (e.g. a delay
     /// limit tighter than every feasible candidate).
     Partition(String),
-    /// The static range analysis rejected a placement: a cell that may
-    /// overflow the Q16.16 datapath cannot run on the sensor end.
-    Numeric(String),
     /// An I/O operation failed (report emission, dataset loading).
     Io(std::io::Error),
     /// A configuration value was out of range or inconsistent.
@@ -45,11 +42,6 @@ impl XProError {
     pub fn partition(msg: impl Into<String>) -> Self {
         XProError::Partition(msg.into())
     }
-
-    /// Convenience constructor for [`XProError::Numeric`].
-    pub fn numeric(msg: impl Into<String>) -> Self {
-        XProError::Numeric(msg.into())
-    }
 }
 
 impl fmt::Display for XProError {
@@ -57,7 +49,6 @@ impl fmt::Display for XProError {
         match self {
             XProError::Train(e) => write!(f, "training failed: {e}"),
             XProError::Partition(msg) => write!(f, "partitioning failed: {msg}"),
-            XProError::Numeric(msg) => write!(f, "numeric validation failed: {msg}"),
             XProError::Io(e) => write!(f, "i/o error: {e}"),
             XProError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             XProError::Certificate(v) => write!(f, "certificate check failed: {v}"),
@@ -111,9 +102,6 @@ mod tests {
         assert!(XProError::partition("infeasible")
             .to_string()
             .contains("partitioning"));
-        assert!(XProError::numeric("overflow")
-            .to_string()
-            .contains("numeric"));
     }
 
     #[test]

@@ -128,6 +128,18 @@ impl<'a> XProGenerator<'a> {
         Partition { in_sensor }
     }
 
+    /// The classification-only fallback plan a degraded deployment runs:
+    /// the all-sensor partition when its fixed-point cells are numerically
+    /// valid, otherwise the [trivial cut](Self::trivial_cut).
+    pub fn fallback_cut(&self) -> Partition {
+        let all_sensor = Partition::all_sensor(self.instance.num_cells());
+        if self.numerically_valid(&all_sensor) {
+            all_sensor
+        } else {
+            self.trivial_cut()
+        }
+    }
+
     /// The unconstrained minimum-energy partition (§3.2.2): one min-cut.
     pub fn unconstrained_cut(&self) -> Partition {
         certified_min_cut_partition(self.instance, 0.0).0

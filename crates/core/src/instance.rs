@@ -314,12 +314,6 @@ impl XProInstance {
     pub fn num_cells(&self) -> usize {
         self.built.graph.len()
     }
-
-    /// Total in-sensor compute energy if every cell ran on the sensor (the
-    /// compute part of the in-sensor engine).
-    pub fn total_sensor_compute_pj(&self) -> f64 {
-        self.sensor_costs.iter().map(|c| c.energy_pj).sum()
-    }
 }
 
 /// Checks that every assigned knob is valid and names a cell of the graph.

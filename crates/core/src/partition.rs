@@ -42,39 +42,6 @@ impl Partition {
         let s = self.sensor_count();
         s > 0 && s < self.in_sensor.len()
     }
-
-    /// Human-readable description of the cut: which cell labels sit on each
-    /// end, in graph order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition size differs from the instance's cell count.
-    pub fn describe(&self, instance: &XProInstance) -> String {
-        assert_eq!(
-            self.in_sensor.len(),
-            instance.num_cells(),
-            "partition size mismatch"
-        );
-        let labels = |sensor: bool| -> String {
-            instance
-                .built()
-                .graph
-                .cells()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.in_sensor[*i] == sensor)
-                .map(|(_, c)| c.label.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        format!(
-            "in-sensor ({}): {}\nin-aggregator ({}): {}",
-            self.sensor_count(),
-            labels(true),
-            self.in_sensor.len() - self.sensor_count(),
-            labels(false)
-        )
-    }
 }
 
 /// Sensor-node energy per event, split as in the paper's Fig. 11.
@@ -170,18 +137,6 @@ pub fn evaluate(instance: &XProInstance, partition: &Partition) -> Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_instance;
-
-    #[test]
-    fn describe_lists_both_ends() {
-        let inst = tiny_instance(1);
-        let n = inst.num_cells();
-        let mut p = Partition::all_sensor(n);
-        p.in_sensor[n - 1] = false; // fusion to the aggregator
-        let text = p.describe(&inst);
-        assert!(text.contains(&format!("in-sensor ({})", n - 1)), "{text}");
-        assert!(text.contains("in-aggregator (1): Fusion"), "{text}");
-    }
 
     #[test]
     fn breakdown_totals() {

@@ -19,6 +19,7 @@
 //! test the *uses* of the numbers rather than three transcriptions of the
 //! same loop.
 
+use crate::cellgraph::PortRef;
 use crate::instance::XProInstance;
 use crate::layout::BITS_PER_SAMPLE;
 use crate::partition::Partition;
@@ -27,6 +28,9 @@ use xpro_wireless::Frame;
 /// One planned cross-end wireless transfer of a segment.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FrameProfile {
+    /// The producer port whose output the frame carries (port 0 of the
+    /// result cell for the result frame).
+    pub port: PortRef,
     /// Payload samples carried (header excluded).
     pub samples: u64,
     /// Channel occupancy of one transmission attempt, in seconds.
@@ -118,7 +122,7 @@ pub fn segment_profile(instance: &XProInstance, partition: &Partition) -> Segmen
         }
     }
 
-    let mut push = |samples: u64, producer_sensor: bool| {
+    let mut push = |port: PortRef, samples: u64, producer_sensor: bool| {
         let frame = Frame::for_samples(samples, BITS_PER_SAMPLE);
         let (sensor_pj, agg_pj) = if producer_sensor {
             (radio.tx_frame_pj(frame), radio.rx_frame_pj(frame))
@@ -126,6 +130,7 @@ pub fn segment_profile(instance: &XProInstance, partition: &Partition) -> Segmen
             (radio.rx_frame_pj(frame), radio.tx_frame_pj(frame))
         };
         profile.frames.push(FrameProfile {
+            port,
             samples,
             airtime_s: radio.frame_airtime_s(frame),
             sensor_pj,
@@ -146,10 +151,10 @@ pub fn segment_profile(instance: &XProInstance, partition: &Partition) -> Segmen
             None => instance.segment_len() as u64,
             Some(_) => graph.port_samples(*port),
         };
-        push(samples, producer_sensor);
+        push(*port, samples, producer_sensor);
     }
     if partition.in_sensor[graph.result_cell()] {
-        push(1, true);
+        push(PortRef::cell(graph.result_cell()), 1, true);
     }
     profile
 }

@@ -64,16 +64,6 @@ impl EngineComparison {
     }
 }
 
-/// Formats a battery-lifetime row normalized to the in-aggregator engine
-/// (the normalization of Figs. 8, 9 and 12).
-pub fn normalized_lifetimes(cmp: &EngineComparison) -> Vec<(Engine, f64)> {
-    let base = cmp.of(Engine::InAggregator).sensor_battery_hours;
-    cmp.engines
-        .iter()
-        .map(|(e, ev)| (*e, ev.sensor_battery_hours / base))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)] // tests fail loudly by design
@@ -90,19 +80,6 @@ mod tests {
         for &e in &Engine::ALL {
             let _ = cmp.of(e);
         }
-    }
-
-    #[test]
-    fn normalization_puts_aggregator_at_one() {
-        let inst = tiny_instance(2);
-        let cmp = EngineComparison::evaluate("T", &inst).unwrap();
-        let rows = normalized_lifetimes(&cmp);
-        let agg = rows
-            .iter()
-            .find(|(e, _)| *e == Engine::InAggregator)
-            .unwrap()
-            .1;
-        assert!((agg - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -244,24 +244,14 @@ impl StTemplate {
 }
 
 /// Builds the s-t network for an instance and extracts the min-cut
-/// partition.
+/// partition together with the [`CutCertificate`] carrying the max-flow
+/// witness, so the caller can have the cut independently re-verified by
+/// [`check_cut_certificate`](crate::certificate::check_cut_certificate).
 ///
 /// `lambda_pj_per_s` is the Lagrangian delay price: every edge weight
 /// becomes `energy + λ·delay-contribution`, where the delay contribution of
 /// a compute edge is the cell's sensor latency and that of a transfer edge
 /// is the frame air time. `λ = 0` yields the pure §3.2.2 energy min-cut.
-///
-/// # Panics
-///
-/// Panics if `lambda_pj_per_s` is negative.
-pub fn min_cut_partition(instance: &XProInstance, lambda_pj_per_s: f64) -> Partition {
-    certified_min_cut_partition(instance, lambda_pj_per_s).0
-}
-
-/// Like [`min_cut_partition`], but also returns the [`CutCertificate`]
-/// carrying the max-flow witness, so the caller can have the cut
-/// independently re-verified by
-/// [`check_cut_certificate`](crate::certificate::check_cut_certificate).
 ///
 /// # Panics
 ///
@@ -298,7 +288,7 @@ mod tests {
     fn min_cut_beats_both_single_end_designs() {
         let instance = tiny_instance(1);
         let n = instance.num_cells();
-        let cut = min_cut_partition(&instance, 0.0);
+        let cut = certified_min_cut_partition(&instance, 0.0).0;
         let e_cut = evaluate(&instance, &cut).sensor.total_pj();
         let e_sensor = evaluate(&instance, &Partition::all_sensor(n))
             .sensor
@@ -317,7 +307,7 @@ mod tests {
         // independent evaluator.
         for seed in [1, 2, 3] {
             let instance = tiny_instance(seed);
-            let cut = min_cut_partition(&instance, 0.0);
+            let cut = certified_min_cut_partition(&instance, 0.0).0;
             let eval = evaluate(&instance, &cut);
             // Re-derive the exhaustive optimum over all partitions for small
             // graphs and check the min-cut is no worse.
@@ -343,7 +333,7 @@ mod tests {
     #[test]
     fn grouped_raw_consumers_stay_together() {
         let instance = tiny_instance(4);
-        let cut = min_cut_partition(&instance, 0.0);
+        let cut = certified_min_cut_partition(&instance, 0.0).0;
         let graph = &instance.built().graph;
         let raw_sides: Vec<bool> = graph
             .raw_consumers()
@@ -365,7 +355,7 @@ mod tests {
         // With delay priced astronomically, the generator collapses to
         // whichever design minimizes (λ-dominated) total delay proxy.
         let instance = tiny_instance(5);
-        let cut = min_cut_partition(&instance, 1e18);
+        let cut = certified_min_cut_partition(&instance, 1e18).0;
         let n = instance.num_cells();
         let e_cut = evaluate(&instance, &cut).delay.total_s();
         let e_sensor = evaluate(&instance, &Partition::all_sensor(n))

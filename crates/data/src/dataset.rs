@@ -90,12 +90,6 @@ impl Dataset {
         self.labels.iter().filter(|&&l| l == 1.0).count()
     }
 
-    /// Bits required to transmit one raw segment at the given sample width —
-    /// the payload the in-aggregator engine sends per event.
-    pub fn raw_segment_bits(&self, bits_per_sample: u32) -> u64 {
-        self.segment_len as u64 * bits_per_sample as u64
-    }
-
     /// Smallest and largest sample value over every segment — the input
     /// bounds the static range analyzer assumes when checking whether the
     /// fixed-point dataflow can overflow on this dataset. The pipeline's
@@ -136,7 +130,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
         assert_eq!(d.positives(), 1);
-        assert_eq!(d.raw_segment_bits(32), 64);
         assert_eq!(d.signal_range(), (0.0, 1.0));
     }
 

@@ -42,11 +42,6 @@ impl MulticlassDataset {
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
-
-    /// Number of distinct classes.
-    pub fn num_classes(&self) -> usize {
-        self.class_names.len()
-    }
 }
 
 fn grasp_params(class: u32) -> EmgParams {
@@ -99,7 +94,7 @@ mod tests {
     fn four_balanced_classes() {
         let d = generate_grasps(80, 1);
         assert_eq!(d.len(), 80);
-        assert_eq!(d.num_classes(), 4);
+        assert_eq!(d.class_names.len(), 4);
         for class in 0..4u32 {
             let count = d.labels.iter().filter(|&&l| l == class).count();
             assert_eq!(count, 20, "class {class}");

@@ -63,6 +63,6 @@ proptest! {
     fn grasp_labels_are_dense(count in 4usize..80, seed in 0u64..100) {
         let d = generate_grasps(count, seed);
         prop_assert!(d.labels.iter().all(|&l| l < 4));
-        prop_assert_eq!(d.num_classes(), 4);
+        prop_assert_eq!(d.class_names.len(), 4);
     }
 }

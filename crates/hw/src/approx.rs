@@ -11,8 +11,8 @@
 //!   partial-product columns of the 16-bit fractional shift are dropped.
 //!   The kernel is [`truncated Q16 multiply`](../../xpro_signal/fixed/
 //!   struct.Q16.html); its result deviates from the round-to-nearest exact
-//!   multiply by at most `2^k` ulps. Energy and area of the multiplier
-//!   array shrink by the fraction of dropped partial-product cells.
+//!   multiply by at most `2^k` ulps. Energy of the multiplier array
+//!   shrinks by the fraction of dropped partial-product cells.
 //! * **Reduced DWT depth** (`dwt_skip`): the deepest decomposition level is
 //!   replaced by a decimation approximation (`a[i] = √2·x[2i]`, `d[i] = 0`)
 //!   that needs one multiply per output instead of a full filter bank.
@@ -25,7 +25,6 @@
 //! discount the kernels do not implement.
 
 use crate::alu::AluMode;
-use crate::area::cell_area_ge;
 use crate::library::{CellCost, CellCostModel};
 use crate::module::ModuleKind;
 use crate::ops::{Op, OpCounts};
@@ -137,13 +136,6 @@ pub fn trunc_mul_energy_factor(bits: u8) -> f64 {
     1.0 - k * (k + 33.0) / 2048.0
 }
 
-/// Area scale factor of the truncated multiplier array — the same dropped
-/// partial-product-cell fraction as [`trunc_mul_energy_factor`], since
-/// both scale with the populated cells of the array.
-pub fn trunc_mul_area_factor(bits: u8) -> f64 {
-    trunc_mul_energy_factor(bits)
-}
-
 /// Effective operation counts of a module under an approximation
 /// configuration (after [`ApproxConfig::effective_for`] projection).
 ///
@@ -228,26 +220,6 @@ impl CellCostModel {
     }
 }
 
-/// Estimated cell area in gate equivalents under an approximation
-/// configuration: the pruned cell vanishes, a truncated multiplier array
-/// shrinks by [`trunc_mul_area_factor`], a skipped DWT level keeps one
-/// multiplier and its buffers.
-pub fn approx_cell_area_ge(module: &ModuleKind, mode: AluMode, cfg: &ApproxConfig) -> f64 {
-    let eff = cfg.effective_for(module);
-    if eff.svm_prune {
-        return 0.0;
-    }
-    let exact = cell_area_ge(module, mode);
-    if eff.mul_truncation_bits > 0 {
-        // Only the multiplier units shrink; remove the dropped fraction of
-        // one serial multiplier array (3000 GE) from the datapath.
-        let saved = 3000.0 * (1.0 - trunc_mul_area_factor(eff.mul_truncation_bits));
-        (exact - saved).max(0.0)
-    } else {
-        exact
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)] // tests fail loudly by design
@@ -302,7 +274,6 @@ mod tests {
         let (_, cost) = m.best_mode_approx(&svm(), ProcessNode::N90, &cfg);
         assert_eq!(cost.energy_pj, 0.0);
         assert_eq!(cost.cycles, 0);
-        assert_eq!(approx_cell_area_ge(&svm(), AluMode::Serial, &cfg), 0.0);
     }
 
     #[test]

@@ -33,10 +33,6 @@ pub struct CellUnit {
     state: CellState,
     /// Completed activations (events processed).
     completions: u64,
-    /// Total cycles spent in the working state.
-    active_cycles: u64,
-    /// Wake-ups performed (for power-gating accounting).
-    wakeups: u64,
 }
 
 impl CellUnit {
@@ -53,8 +49,6 @@ impl CellUnit {
             ready: vec![false; num_inputs],
             state: CellState::Idle,
             completions: 0,
-            active_cycles: 0,
-            wakeups: 0,
         }
     }
 
@@ -80,7 +74,6 @@ impl CellUnit {
             self.state = CellState::Working {
                 remaining: self.cost.cycles,
             };
-            self.wakeups += 1;
             true
         } else {
             false
@@ -93,7 +86,6 @@ impl CellUnit {
         match self.state {
             CellState::Idle => false,
             CellState::Working { remaining } => {
-                self.active_cycles += 1;
                 if remaining <= 1 {
                     self.state = CellState::Idle;
                     self.completions += 1;
@@ -111,33 +103,10 @@ impl CellUnit {
         }
     }
 
-    /// Events completed so far.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
     /// Energy consumed so far in pJ: one full cell activation per
     /// completion (the cost model already folds in the wake-up energy).
     pub fn energy_pj(&self) -> f64 {
         self.completions as f64 * self.cost.energy_pj
-    }
-
-    /// Duty cycle so far: active cycles / total elapsed cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed_cycles` is zero or less than the active count.
-    pub fn duty_cycle(&self, elapsed_cycles: u64) -> f64 {
-        assert!(
-            elapsed_cycles >= self.active_cycles.max(1),
-            "bad elapsed count"
-        );
-        self.active_cycles as f64 / elapsed_cycles as f64
-    }
-
-    /// Number of wake-ups (equals completions plus any in-flight activation).
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
     }
 }
 
@@ -175,7 +144,7 @@ mod tests {
         assert!(!cell.tick());
         assert!(cell.tick(), "third cycle completes");
         assert_eq!(cell.state(), CellState::Idle);
-        assert_eq!(cell.completions(), 1);
+        assert_eq!(cell.energy_pj(), 1000.0);
     }
 
     #[test]
@@ -195,7 +164,7 @@ mod tests {
         assert!(!cell.offer_input(0));
         assert!(!cell.offer_input(0));
         assert!(cell.offer_input(1));
-        assert_eq!(cell.wakeups(), 1);
+        assert!(matches!(cell.state(), CellState::Working { remaining: 2 }));
     }
 
     #[test]
@@ -206,30 +175,7 @@ mod tests {
             cell.tick();
             cell.tick();
         }
-        assert_eq!(cell.completions(), 3);
         assert_eq!(cell.energy_pj(), 3000.0);
-    }
-
-    #[test]
-    fn duty_cycle_reflects_sparse_events() {
-        // §3.1.2: wearables "monitor and analyze the sparse biosignal
-        // events" — a cell active 6 cycles out of 100 has 6 % duty.
-        let mut cell = unit(1, 3);
-        let mut elapsed = 0u64;
-        for round in 0..2 {
-            if round == 0 {
-                cell.offer_input(0);
-            }
-            for _ in 0..50 {
-                cell.tick();
-                elapsed += 1;
-            }
-            if round == 0 {
-                cell.offer_input(0);
-            }
-        }
-        assert_eq!(cell.completions(), 2);
-        assert!((cell.duty_cycle(elapsed) - 0.06).abs() < 1e-12);
     }
 
     #[test]

@@ -43,19 +43,6 @@ impl FusionWeights {
         FusionWeights { weights }
     }
 
-    /// Uniform weights (plain majority voting) for `n` bases — the baseline
-    /// fusion the least-squares scheme improves on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0, "ensemble must have at least one base");
-        FusionWeights {
-            weights: vec![1.0 / n as f64; n],
-        }
-    }
-
     /// Fused score: the weighted vote sum. Positive means class +1.
     ///
     /// # Panics
@@ -117,15 +104,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_weights_are_majority_vote() {
-        let w = FusionWeights::uniform(3);
-        assert_eq!(w.predict(&[1.0, 1.0, -1.0]), 1.0);
-        assert_eq!(w.predict(&[-1.0, -1.0, 1.0]), -1.0);
-    }
-
-    #[test]
     fn score_is_linear_in_votes() {
-        let w = FusionWeights::uniform(2);
+        let w = FusionWeights {
+            weights: vec![0.5, 0.5],
+        };
         assert_eq!(w.score(&[1.0, 1.0]), 1.0);
         assert_eq!(w.score(&[1.0, -1.0]), 0.0);
         assert_eq!(w.predict(&[1.0, -1.0]), 1.0); // tie → +1
@@ -150,6 +132,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "vote count")]
     fn score_rejects_wrong_arity() {
-        FusionWeights::uniform(2).score(&[1.0]);
+        FusionWeights {
+            weights: vec![0.5, 0.5],
+        }
+        .score(&[1.0]);
     }
 }

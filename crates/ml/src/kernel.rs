@@ -53,12 +53,6 @@ impl Kernel {
             Kernel::Poly { degree, coef0 } => (dot(a, b) + coef0).powi(degree as i32),
         }
     }
-
-    /// Returns `true` for kernels whose evaluation needs the exponent unit of
-    /// the S-ALU ("super computation", §3.1.1).
-    pub fn needs_exp_unit(&self) -> bool {
-        matches!(self, Kernel::Rbf { .. })
-    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -103,17 +97,6 @@ mod tests {
         let k = Kernel::default();
         let (a, b) = ([0.3, 0.9, 0.1], [0.7, 0.2, 0.5]);
         assert_eq!(k.eval(&a, &b), k.eval(&b, &a));
-    }
-
-    #[test]
-    fn only_rbf_needs_exp() {
-        assert!(Kernel::Rbf { gamma: 1.0 }.needs_exp_unit());
-        assert!(!Kernel::Linear.needs_exp_unit());
-        assert!(!Kernel::Poly {
-            degree: 3,
-            coef0: 0.0
-        }
-        .needs_exp_unit());
     }
 
     #[test]

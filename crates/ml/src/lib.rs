@@ -10,7 +10,7 @@
 //! * [`fusion`] — least-squares weighted voting over base-classifier votes;
 //! * [`scaler`] — per-feature min-max normalization to `[0, 1]`;
 //! * [`cv`] — stratified splits and k-fold cross-validation;
-//! * [`metrics`] — accuracy and confusion matrices;
+//! * [`metrics`] — classification accuracy;
 //! * [`linalg`] — the small dense solver backing the fusion stage.
 //!
 //! The trained [`subspace::RandomSubspaceModel`] is what shapes an XPro

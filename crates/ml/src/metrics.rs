@@ -12,93 +12,6 @@ pub fn accuracy(predicted: &[f64], actual: &[f64]) -> f64 {
     correct as f64 / predicted.len() as f64
 }
 
-/// A binary confusion matrix for ±1 labels.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Confusion {
-    /// Actual +1, predicted +1.
-    pub tp: usize,
-    /// Actual −1, predicted −1.
-    pub tn: usize,
-    /// Actual −1, predicted +1.
-    pub fp: usize,
-    /// Actual +1, predicted −1.
-    pub fn_: usize,
-}
-
-impl Confusion {
-    /// Builds a confusion matrix from ±1 predictions and labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or labels other than ±1.
-    pub fn from_predictions(predicted: &[f64], actual: &[f64]) -> Self {
-        assert_eq!(predicted.len(), actual.len(), "length mismatch");
-        let mut c = Confusion::default();
-        for (&p, &a) in predicted.iter().zip(actual) {
-            assert!(
-                (p == 1.0 || p == -1.0) && (a == 1.0 || a == -1.0),
-                "labels must be ±1"
-            );
-            match (a == 1.0, p == 1.0) {
-                (true, true) => c.tp += 1,
-                (false, false) => c.tn += 1,
-                (false, true) => c.fp += 1,
-                (true, false) => c.fn_ += 1,
-            }
-        }
-        c
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> usize {
-        self.tp + self.tn + self.fp + self.fn_
-    }
-
-    /// Overall accuracy; zero when empty.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
-
-    /// Sensitivity (true-positive rate); zero when no positives.
-    pub fn sensitivity(&self) -> f64 {
-        let pos = self.tp + self.fn_;
-        if pos == 0 {
-            0.0
-        } else {
-            self.tp as f64 / pos as f64
-        }
-    }
-
-    /// Specificity (true-negative rate); zero when no negatives.
-    pub fn specificity(&self) -> f64 {
-        let neg = self.tn + self.fp;
-        if neg == 0 {
-            0.0
-        } else {
-            self.tn as f64 / neg as f64
-        }
-    }
-}
-
-impl std::fmt::Display for Confusion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "tp={} tn={} fp={} fn={} (acc {:.3})",
-            self.tp,
-            self.tn,
-            self.fp,
-            self.fn_,
-            self.accuracy()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,53 +22,8 @@ mod tests {
     }
 
     #[test]
-    fn confusion_tabulates_all_cells() {
-        let pred = [1.0, 1.0, -1.0, -1.0];
-        let act = [1.0, -1.0, 1.0, -1.0];
-        let c = Confusion::from_predictions(&pred, &act);
-        assert_eq!(
-            c,
-            Confusion {
-                tp: 1,
-                tn: 1,
-                fp: 1,
-                fn_: 1
-            }
-        );
-        assert_eq!(c.accuracy(), 0.5);
-        assert_eq!(c.sensitivity(), 0.5);
-        assert_eq!(c.specificity(), 0.5);
-        assert_eq!(c.total(), 4);
-    }
-
-    #[test]
-    fn empty_confusion_yields_zero_rates() {
-        let c = Confusion::default();
-        assert_eq!(c.accuracy(), 0.0);
-        assert_eq!(c.sensitivity(), 0.0);
-        assert_eq!(c.specificity(), 0.0);
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let c = Confusion {
-            tp: 2,
-            tn: 2,
-            fp: 0,
-            fn_: 0,
-        };
-        assert_eq!(c.to_string(), "tp=2 tn=2 fp=0 fn=0 (acc 1.000)");
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn accuracy_rejects_mismatched_lengths() {
         accuracy(&[1.0], &[1.0, -1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "±1")]
-    fn confusion_rejects_bad_labels() {
-        Confusion::from_predictions(&[0.5], &[1.0]);
     }
 }

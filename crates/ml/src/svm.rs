@@ -393,15 +393,6 @@ impl Svm {
         acc
     }
 
-    /// Predicted ±1 label from the fixed-point datapath (ties map to +1).
-    pub fn predict_q16(&self, x: &[Q16]) -> f64 {
-        if self.decision_q16(x) >= Q16::ZERO {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
     /// Number of support vectors — the main driver of the SVM functional
     /// cell's operation count in the sensor node.
     pub fn num_support_vectors(&self) -> usize {
@@ -585,7 +576,8 @@ mod tests {
                 (d_float - d_fixed).abs() < 0.05 * (1.0 + d_float.abs()),
                 "float {d_float} vs fixed {d_fixed}"
             );
-            if svm.predict(x) == svm.predict_q16(&xq) {
+            // Same sign, ties to +1 on both datapaths.
+            if (d_float >= 0.0) == (d_fixed >= 0.0) {
                 agree += 1;
             }
         }

@@ -134,8 +134,8 @@ pub(crate) struct Controller {
     /// The delay bound the deployment promised, from the pristine
     /// instance; re-plans are judged against it, never recomputed.
     baseline_limit_s: f64,
-    /// The classification-only fallback partition (all-sensor when
-    /// numerically valid, otherwise the trivial feature cut).
+    /// The classification-only fallback partition
+    /// ([`XProGenerator::fallback_cut`]).
     fallback: Partition,
     /// Airtime of the fallback's largest cross-end frame; `factor` times
     /// this must fit the deadline or the controller sheds.
@@ -162,13 +162,7 @@ pub(crate) struct Controller {
 impl Controller {
     pub fn new(instance: &XProInstance, initial: &Partition, cfg: &RuntimeConfig) -> Self {
         let generator = XProGenerator::new(instance);
-        let n = instance.num_cells();
-        let all_sensor = Partition::all_sensor(n);
-        let fallback = if generator.numerically_valid(&all_sensor) {
-            all_sensor
-        } else {
-            generator.trivial_cut()
-        };
+        let fallback = generator.fallback_cut();
         let fallback_airtime_s = segment_profile(instance, &fallback)
             .frames
             .iter()

@@ -697,13 +697,7 @@ impl FleetExecutor<'_> {
             .tenancy_enabled()
             .then(|| Tenancy::new(&cfg.tenants, cfg.agg_inbox));
         if tenancy.is_some() {
-            let generator = XProGenerator::new(instance);
-            let all_sensor = Partition::all_sensor(instance.num_cells());
-            let fallback = if generator.numerically_valid(&all_sensor) {
-                all_sensor
-            } else {
-                generator.trivial_cut()
-            };
+            let fallback = XProGenerator::new(instance).fallback_cut();
             let fb_plan: Arc<SegmentPlan> = Arc::new(segment_profile(instance, &fallback));
             plans.push(Arc::clone(&fb_plan));
             for sh in &mut shards {
@@ -788,6 +782,10 @@ impl FleetExecutor<'_> {
             k += 1;
         }
         agg.max_batch = agg.max_batch.max(agg.batch_len);
+        // The drain round served every job: free the job list before the
+        // reports are built, so they can reuse its memory.
+        debug_assert!(agg.pending.is_empty());
+        agg.pending = Vec::new();
 
         if let Some(tn) = tenancy.as_mut() {
             tn.finish(cfg.duration_s);

@@ -91,14 +91,6 @@ impl NodeLifecycle {
     pub fn crashes(&self) -> u64 {
         self.windows.len() as u64
     }
-
-    /// Total down time overlapping `[0, duration_s)`.
-    pub fn down_s(&self, duration_s: f64) -> f64 {
-        self.windows
-            .iter()
-            .map(|(start, end)| (end.min(duration_s) - start).max(0.0))
-            .sum()
-    }
 }
 
 /// Deterministic periodic aggregator outage schedule.
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(life.down_at(1e6), None);
         assert!(!life.interrupted(0.0, 1e6));
         assert_eq!(life.crashes(), 0);
-        assert_eq!(life.down_s(100.0), 0.0);
     }
 
     #[test]
@@ -193,8 +184,6 @@ mod tests {
         // Currently down counts as interrupted regardless of arrival.
         assert!(life.interrupted(10.5, 11.0));
         assert_eq!(life.crashes(), 2);
-        assert!((life.down_s(100.0) - 3.5).abs() < 1e-12);
-        assert!((life.down_s(11.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -237,6 +237,8 @@ pub(crate) struct ShardSim {
     pub jobs: Vec<AggJobRec>,
     cfg: RuntimeConfig,
     period_s: f64,
+    /// The barrier the shard has run up to (0 before the first round).
+    reached_s: f64,
     /// Events at or after the last barrier, grouped by node in ascending
     /// node order: the next round's seed.
     carry: Vec<Event>,
@@ -313,6 +315,7 @@ impl ShardSim {
             jobs: Vec::new(),
             cfg: cfg.clone(),
             period_s,
+            reached_s: 0.0,
             carry,
             queue: Vec::new(),
             plans: vec![plan],
@@ -361,6 +364,19 @@ impl ShardSim {
     /// ascending node order, and carries the rest into the next round.
     pub fn run_until(&mut self, target_s: f64) {
         let carry = std::mem::take(&mut self.carry);
+        // Reserve the round's job bound (a segment in flight per carried
+        // frame event, plus one arrival per node per period) so a drain
+        // round's ~620 000 jobs do not double their way up, scattering the
+        // freed sizes over the heap. A hint only: if it cannot be
+        // reserved, the list grows as it fills.
+        let in_flight = carry.iter().filter(|e| e.frame.is_some()).count();
+        let periods = (target_s.min(self.cfg.duration_s) - self.reached_s) / self.period_s;
+        let arrivals = self
+            .cores
+            .len()
+            .saturating_mul(periods.max(0.0).ceil() as usize);
+        let _ = self.jobs.try_reserve(in_flight.saturating_add(arrivals));
+        self.reached_s = target_s;
         let mut next = Vec::with_capacity(carry.len());
         let mut rest = carry.as_slice();
         while let Some(first) = rest.first() {
@@ -559,10 +575,12 @@ impl ShardSim {
 mod tests {
     use super::*;
     use crate::rng::XorShiftRng;
+    use xpro_core::cellgraph::PortRef;
     use xpro_core::profile::FrameProfile;
 
     fn plan(front_s: f64, frames: usize) -> Arc<SegmentProfile> {
         let frame = FrameProfile {
+            port: PortRef::RAW,
             samples: 16,
             airtime_s: 0.004,
             sensor_pj: 3.0,
@@ -679,6 +697,46 @@ mod tests {
                 .any(|c| c.retries > 0 && c.lost_to_crash > 0));
             assert_eq!(format!("{:?}", fast.cores), format!("{:?}", slow.cores));
             assert_eq!(format!("{:?}", fast.links), format!("{:?}", slow.links));
+        }
+    }
+
+    /// A round's jobs never outgrow what `run_until` reserved for them:
+    /// the segments in flight plus one arrival per node per period of the
+    /// round, through lossy retried multi-frame segments that stay in
+    /// flight across barriers, barrier rounds and the drain round.
+    #[test]
+    fn round_jobs_fit_their_reservation() {
+        for seed in 1..=6u64 {
+            let cfg = RuntimeConfig::builder()
+                .nodes(16)
+                .duration_s(2.0)
+                .drop_rate(0.3)
+                .max_retries(3)
+                .seed(seed)
+                .build()
+                .expect("valid config");
+            let period_s = 0.05;
+            let mut sh = ShardSim::new(0, 16, &cfg, period_s, plan(0.07, 3));
+            let (mut from, mut jobs) = (0.0, 0);
+            for k in 1.. {
+                let target = if k < 40 {
+                    0.05 * k as f64
+                } else {
+                    f64::INFINITY
+                };
+                let periods = ((target.min(cfg.duration_s) - from) / period_s).ceil() as usize;
+                let in_flight = sh.carry.iter().filter(|e| e.frame.is_some()).count();
+                let bound = in_flight + 16 * periods;
+                sh.run_until(target);
+                assert!(sh.jobs.len() <= bound, "seed {seed} round {k}");
+                assert!(sh.jobs.capacity() >= bound);
+                jobs += std::mem::take(&mut sh.jobs).len();
+                if target.is_infinite() {
+                    break;
+                }
+                from = target;
+            }
+            assert!(jobs > 0);
         }
     }
 

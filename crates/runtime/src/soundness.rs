@@ -113,8 +113,8 @@ pub fn tenant_models(cfg: &RuntimeConfig) -> Vec<TenantModel> {
 
 /// Builds the *envelope* timing model of a multi-tenant deployment: a
 /// per-term upper bound over the primary plan and the degradation
-/// fallback plan (all-sensor when numerically valid, else the trivial
-/// cut — the same choice the executor installs at epoch 1). A node may
+/// fallback plan ([`XProGenerator::fallback_cut`], the same plan the
+/// executor installs at epoch 1). A node may
 /// run either plan depending on its tenant's tier, so every envelope
 /// term must dominate both:
 ///
@@ -133,13 +133,7 @@ pub fn envelope_timing_model(
     cfg: &RuntimeConfig,
 ) -> TimingModel {
     let mut model = timing_model(instance, partition, cfg);
-    let generator = XProGenerator::new(instance);
-    let all_sensor = Partition::all_sensor(instance.num_cells());
-    let fallback = if generator.numerically_valid(&all_sensor) {
-        all_sensor
-    } else {
-        generator.trivial_cut()
-    };
+    let fallback = XProGenerator::new(instance).fallback_cut();
     let fb = segment_profile(instance, &fallback);
     model.front_s = model.front_s.max(fb.front_s);
     model.back_s = model.back_s.max(fb.back_s);
@@ -729,13 +723,7 @@ mod tests {
             env.frame_airtimes_s.iter().sum::<f64>()
                 >= primary.frame_airtimes_s.iter().sum::<f64>()
         );
-        let generator = XProGenerator::new(&inst);
-        let all_sensor = Partition::all_sensor(inst.num_cells());
-        let fallback = if generator.numerically_valid(&all_sensor) {
-            all_sensor
-        } else {
-            generator.trivial_cut()
-        };
+        let fallback = XProGenerator::new(&inst).fallback_cut();
         let fb = timing_model(&inst, &fallback, &cfg);
         assert!(env.front_s >= fb.front_s);
         assert!(env.back_s >= fb.back_s);

@@ -15,18 +15,22 @@
 //! * the aggregator CPU executes its cells one at a time from a ready
 //!   queue (software, single core).
 //!
-//! The simulated *energy* matches the analytic evaluator exactly (same cell
-//! costs, same per-port frames — asserted by tests); the simulated
-//! *makespan* is a lower bound on the serialized delay and quantifies how
-//! much overlap the dataflow execution recovers. [`simulate_stream`] chains
-//! events to measure steady-state throughput and channel utilization. For
+//! Compute times and frame prices come from the shared cost walk
+//! ([`segment_profile`]), so the simulated *energy* is the analytic
+//! evaluator's to the bit; the simulated *makespan* is a lower bound on
+//! the serialized delay and quantifies how much overlap the dataflow
+//! execution recovers. [`simulate_stream`] chains events, carrying the busy
+//! state of the channel, the CPU and every cell from one event to the
+//! next, to measure steady-state throughput and channel utilization. For
 //! fleet-scale streaming with loss, retries and batching, use
 //! [`crate::FleetExecutor`].
 
 use std::collections::BTreeMap;
+use xpro_core::cellgraph::PortRef;
 use xpro_core::instance::XProInstance;
 use xpro_core::layout::BITS_PER_SAMPLE;
 use xpro_core::partition::Partition;
+use xpro_core::profile::segment_profile;
 use xpro_wireless::Frame;
 
 /// Where a piece of work runs.
@@ -54,7 +58,7 @@ pub struct CellRun {
     pub cell: usize,
     /// Which end executed it.
     pub end: End,
-    /// Start time (seconds from event arrival).
+    /// Start time, in seconds from the first event's arrival.
     pub start_s: f64,
     /// Finish time.
     pub finish_s: f64,
@@ -78,12 +82,12 @@ pub struct FrameTransfer {
 /// The full trace of one simulated event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimTrace {
-    /// Every cell execution, in start order.
+    /// Every cell execution, in cell (topological) order.
     pub runs: Vec<CellRun>,
     /// Every wireless frame, in channel order.
     pub frames: Vec<FrameTransfer>,
-    /// Time at which the classification result is available at the
-    /// aggregator.
+    /// Time from the event's arrival until its classification result is
+    /// available at the aggregator.
     pub makespan_s: f64,
     /// Sensor energy in pJ (compute + radio), matching the analytic model.
     pub sensor_energy_pj: f64,
@@ -115,16 +119,19 @@ impl SimTrace {
 ///
 /// Panics if the partition size differs from the instance's cell count.
 pub fn simulate_event(instance: &XProInstance, partition: &Partition) -> SimTrace {
-    simulate_event_at(instance, partition, 0.0, &mut 0.0)
+    // With a single event the period never matters.
+    simulate_stream(instance, partition, 1, 1.0).remove(0)
 }
 
 /// Simulates a stream of `events` arriving every `period_s` seconds and
-/// returns the per-event traces. The shared channel state persists across
-/// events, so queueing effects appear when the channel saturates.
+/// returns the per-event traces. The shared channel, the aggregator CPU
+/// and every in-sensor cell stay busy across events, so queueing appears
+/// when any of them saturates.
 ///
 /// # Panics
 ///
-/// Panics if `period_s` is not positive or `events == 0`.
+/// Panics if `period_s` is not positive, `events == 0`, or the partition
+/// size differs from the instance's cell count.
 pub fn simulate_stream(
     instance: &XProInstance,
     partition: &Partition,
@@ -133,30 +140,9 @@ pub fn simulate_stream(
 ) -> Vec<SimTrace> {
     assert!(period_s > 0.0, "period must be positive");
     assert!(events > 0, "need at least one event");
-    let mut channel_free = 0.0f64;
-    (0..events)
-        .map(|i| {
-            let arrival = i as f64 * period_s;
-            simulate_event_at(instance, partition, arrival, &mut channel_free)
-        })
-        .collect()
-}
-
-fn simulate_event_at(
-    instance: &XProInstance,
-    partition: &Partition,
-    arrival_s: f64,
-    channel_free: &mut f64,
-) -> SimTrace {
-    assert_eq!(
-        partition.in_sensor.len(),
-        instance.num_cells(),
-        "partition size mismatch"
-    );
+    let profile = segment_profile(instance, partition);
     let graph = &instance.built().graph;
-    let radio = &instance.config().radio;
     let n = instance.num_cells();
-
     let end_of = |cell: usize| -> End {
         if partition.in_sensor[cell] {
             End::Sensor
@@ -164,115 +150,101 @@ fn simulate_event_at(
             End::Aggregator
         }
     };
+    let other = |end: End| -> End {
+        match end {
+            End::Sensor => End::Aggregator,
+            End::Aggregator => End::Sensor,
+        }
+    };
+    // When each serial unit next falls idle: the private unit of every
+    // in-sensor cell (indices `0..n`), the aggregator CPU (index `n`) and
+    // the half-duplex channel.
+    let mut unit_free = vec![0.0f64; n + 1];
+    let mut channel_free = 0.0f64;
 
-    // Data availability per (port, end). Ports are keyed by (producer, port).
-    let mut available: BTreeMap<(Option<usize>, usize, End), f64> = BTreeMap::new();
-    available.insert((None, 0, End::Sensor), arrival_s);
+    let mut traces = Vec::with_capacity(events);
+    for event in 0..events {
+        let arrival_s = event as f64 * period_s;
+        // Data availability per (producer, port, end).
+        let mut available: BTreeMap<(Option<usize>, usize, End), f64> = BTreeMap::new();
+        available.insert((None, 0, End::Sensor), arrival_s);
+        let mut runs: Vec<CellRun> = Vec::with_capacity(n);
+        let mut frames: Vec<FrameTransfer> = Vec::new();
 
-    let mut runs: Vec<CellRun> = Vec::with_capacity(n);
-    let mut frames: Vec<FrameTransfer> = Vec::new();
-    let mut sensor_energy_pj = 0.0;
-    // The aggregator CPU is a serial resource.
-    let mut cpu_free = arrival_s;
-
-    // Ship a port's data to the other end if not already there, returning
-    // the availability time at `to`.
-    macro_rules! ship {
-        ($producer:expr, $port:expr, $samples:expr, $to:expr, $ready:expr) => {{
-            let from = match $to {
-                End::Sensor => End::Aggregator,
-                End::Aggregator => End::Sensor,
-            };
-            let frame = Frame::for_samples($samples, BITS_PER_SAMPLE);
-            let start = $ready.max(*channel_free);
-            let finish = start + radio.frame_airtime_s(frame);
-            *channel_free = finish;
+        // Ships a port's data to `to` once the channel is free, at the
+        // airtime the shared cost walk priced it at; returns its arrival.
+        let mut ship = |port: PortRef, to: End, ready_s: f64| -> f64 {
+            let priced = profile
+                .frames
+                .iter()
+                .find(|f| f.port == port)
+                .expect("the profile prices every cross-end port");
+            let start = ready_s.max(channel_free);
+            channel_free = start + priced.airtime_s;
             frames.push(FrameTransfer {
-                producer: $producer,
-                from,
-                bits: frame.total_bits(),
+                producer: port.producer,
+                from: other(to),
+                bits: Frame::for_samples(priced.samples, BITS_PER_SAMPLE).total_bits(),
                 start_s: start,
-                finish_s: finish,
+                finish_s: channel_free,
             });
-            match from {
-                End::Sensor => sensor_energy_pj += radio.tx_frame_pj(frame),
-                End::Aggregator => sensor_energy_pj += radio.rx_frame_pj(frame),
-            }
-            available.insert(($producer, $port, $to), finish);
-            finish
-        }};
-    }
-
-    // Cells are stored in topological order; process them in order, which is
-    // a valid event order because inputs always come from earlier cells.
-    for (cid, cell) in graph.cells().iter().enumerate() {
-        let end = end_of(cid);
-        // Gather input availability, shipping cross-end data on demand.
-        let mut ready = arrival_s;
-        for input in &cell.inputs {
-            let key = (input.producer, input.port, end);
-            let t = match available.get(&key) {
-                Some(&t) => t,
-                None => {
-                    // Data exists on the other end; ship it once.
-                    let other = match end {
-                        End::Sensor => End::Aggregator,
-                        End::Aggregator => End::Sensor,
-                    };
-                    let t_other = *available
-                        .get(&(input.producer, input.port, other))
-                        .expect("producer ran before consumer");
-                    let samples = match input.producer {
-                        None => instance.segment_len() as u64,
-                        Some(_) => graph.port_samples(*input),
-                    };
-                    ship!(input.producer, input.port, samples, end, t_other)
-                }
-            };
-            ready = ready.max(t);
-        }
-        // Execute.
-        let (start, finish) = match end {
-            End::Sensor => {
-                // Asynchronous private unit: starts as soon as data is ready.
-                let start = ready;
-                let finish = start + instance.sensor_time_s(cid);
-                sensor_energy_pj += instance.sensor_cost(cid).energy_pj;
-                (start, finish)
-            }
-            End::Aggregator => {
-                // Serial CPU.
-                let start = ready.max(cpu_free);
-                let finish = start + instance.aggregator_time_s(cid);
-                cpu_free = finish;
-                (start, finish)
-            }
+            channel_free
         };
-        runs.push(CellRun {
-            cell: cid,
-            end,
-            start_s: start,
-            finish_s: finish,
-        });
-        for port in 0..cell.output_samples.len() {
-            available.insert((Some(cid), port, end), finish);
+
+        // Cells are stored in topological order; process them in order,
+        // which is a valid event order because inputs always come from
+        // earlier cells.
+        for (cid, cell) in graph.cells().iter().enumerate() {
+            let end = end_of(cid);
+            // Gather input availability, shipping cross-end data on demand.
+            let mut ready = arrival_s;
+            for input in &cell.inputs {
+                let key = (input.producer, input.port, end);
+                let t = match available.get(&key) {
+                    Some(&t) => t,
+                    None => {
+                        // Data exists on the other end; ship it once.
+                        let t_other = *available
+                            .get(&(input.producer, input.port, other(end)))
+                            .expect("producer ran before consumer");
+                        let t = ship(*input, end, t_other);
+                        available.insert(key, t);
+                        t
+                    }
+                };
+                ready = ready.max(t);
+            }
+            let (unit, busy_s) = match end {
+                End::Sensor => (cid, instance.sensor_time_s(cid)),
+                End::Aggregator => (n, instance.aggregator_time_s(cid)),
+            };
+            let start = ready.max(unit_free[unit]);
+            unit_free[unit] = start + busy_s;
+            runs.push(CellRun {
+                cell: cid,
+                end,
+                start_s: start,
+                finish_s: unit_free[unit],
+            });
+            for port in 0..cell.output_samples.len() {
+                available.insert((Some(cid), port, end), unit_free[unit]);
+            }
         }
-    }
 
-    // Deliver the result to the aggregator.
-    let result = graph.result_cell();
-    let mut makespan = runs[result].finish_s;
-    if end_of(result) == End::Sensor {
-        let t = runs[result].finish_s;
-        makespan = ship!(Some(result), 0usize, 1u64, End::Aggregator, t);
+        // Deliver the result to the aggregator.
+        let result = graph.result_cell();
+        let mut makespan = runs[result].finish_s;
+        if end_of(result) == End::Sensor {
+            makespan = ship(PortRef::cell(result), End::Aggregator, makespan);
+        }
+        traces.push(SimTrace {
+            runs,
+            frames,
+            makespan_s: makespan - arrival_s,
+            sensor_energy_pj: profile.sensor_compute_pj + profile.sensor_wireless_pj(),
+        });
     }
-
-    SimTrace {
-        runs,
-        frames,
-        makespan_s: makespan - arrival_s,
-        sensor_energy_pj,
-    }
+    traces
 }
 
 #[cfg(test)]
@@ -293,8 +265,9 @@ mod tests {
                 let p = generator.partition_for(engine).unwrap();
                 let analytic = evaluate(&inst, &p).sensor.total_pj();
                 let sim = simulate_event(&inst, &p).sensor_energy_pj;
-                assert!(
-                    (analytic - sim).abs() < 1e-6,
+                assert_eq!(
+                    analytic.to_bits(),
+                    sim.to_bits(),
                     "seed {seed}/{engine}: analytic {analytic} vs sim {sim}"
                 );
             }
@@ -375,6 +348,41 @@ mod tests {
         let m0 = traces[0].makespan_s;
         for t in &traces {
             assert!((t.makespan_s - m0).abs() < 1e-9, "unstable makespan");
+        }
+    }
+
+    #[test]
+    fn no_cell_or_cpu_runs_two_events_at_once() {
+        // Events 1 µs apart arrive long before the previous one drains.
+        for seed in 0..6 {
+            let inst = tiny_instance(seed);
+            let generator = XProGenerator::new(&inst);
+            for engine in Engine::ALL {
+                let p = generator.partition_for(engine).unwrap();
+                let traces = simulate_stream(&inst, &p, 4, 1e-6);
+                // A sensor cell is its own unit; every aggregator cell
+                // shares the one CPU (`None`).
+                let mut busy: Vec<(Option<usize>, f64, f64)> = traces
+                    .iter()
+                    .flat_map(|t| &t.runs)
+                    .map(|r| {
+                        (
+                            (r.end == End::Sensor).then_some(r.cell),
+                            r.start_s,
+                            r.finish_s,
+                        )
+                    })
+                    .collect();
+                busy.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
+                for pair in busy.windows(2) {
+                    if pair[0].0 == pair[1].0 {
+                        assert!(
+                            pair[1].1 >= pair[0].2,
+                            "seed {seed}/{engine}: overlap {pair:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -93,12 +93,6 @@ impl Q16 {
         self.0 as f64 / SCALE as f64
     }
 
-    /// Truncates towards negative infinity to an integer.
-    #[inline]
-    pub fn floor_int(self) -> i32 {
-        self.0 >> FRAC_BITS
-    }
-
     /// Returns the absolute value, saturating on `MIN`.
     #[inline]
     pub fn abs(self) -> Self {
@@ -445,7 +439,7 @@ mod tests {
     #[test]
     fn round_trips_integers() {
         for v in [-32768, -1, 0, 1, 2, 100, 32767] {
-            assert_eq!(Q16::from_int(v).floor_int(), v, "value {v}");
+            assert_eq!(Q16::from_int(v).to_f64(), f64::from(v), "value {v}");
         }
     }
 

@@ -71,15 +71,6 @@ impl FeatureKind {
         }
     }
 
-    /// Returns the feature whose output this feature can reuse wholesale,
-    /// if any (paper §3.1.3: the Std cell reuses the entire Var cell).
-    pub fn reuses(self) -> Option<FeatureKind> {
-        match self {
-            FeatureKind::Std => Some(FeatureKind::Var),
-            _ => None,
-        }
-    }
-
     /// Index of the feature in [`FeatureKind::ALL`].
     pub fn index(self) -> usize {
         self as usize
@@ -385,16 +376,6 @@ mod tests {
         let all = all_features_f64(&w);
         for kind in FeatureKind::ALL {
             assert_eq!(all[kind.index()], feature_f64(kind, &w), "{kind}");
-        }
-    }
-
-    #[test]
-    fn reuse_relation_is_std_over_var_only() {
-        assert_eq!(FeatureKind::Std.reuses(), Some(FeatureKind::Var));
-        for kind in FeatureKind::ALL {
-            if kind != FeatureKind::Std {
-                assert_eq!(kind.reuses(), None, "{kind}");
-            }
         }
     }
 }

@@ -26,25 +26,6 @@ pub fn normalize_unit(values: &[f64]) -> Vec<f64> {
     values.iter().map(|&v| (v - min) / span).collect()
 }
 
-/// Normalizes values to zero mean, unit peak magnitude.
-///
-/// Used by the synthetic signal generators to keep raw segments inside the
-/// Q16.16 dynamic range of the sensor datapath.
-pub fn normalize_symmetric(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let peak = values
-        .iter()
-        .map(|&v| (v - mean).abs())
-        .fold(0.0f64, f64::max);
-    if peak <= f64::EPSILON {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|&v| (v - mean) / peak).collect()
-}
-
 /// Returns `(min, max)` of a slice; `(0, 0)` when empty.
 pub fn min_max(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -86,18 +67,6 @@ pub fn fit_length(segment: &[f64], target_len: usize) -> Vec<f64> {
     out
 }
 
-/// Splits a long recording into consecutive non-overlapping segments.
-///
-/// The trailing remainder shorter than `segment_len` is dropped, matching
-/// event-driven segment analysis.
-pub fn segment(recording: &[f64], segment_len: usize) -> Vec<Vec<f64>> {
-    assert!(segment_len > 0, "segment length must be positive");
-    recording
-        .chunks_exact(segment_len)
-        .map(<[f64]>::to_vec)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,20 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_symmetric_is_zero_mean_unit_peak() {
-        let n = normalize_symmetric(&[0.0, 2.0, 4.0]);
-        let mean: f64 = n.iter().sum::<f64>() / n.len() as f64;
-        assert!(mean.abs() < 1e-12);
-        let peak = n.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        assert!((peak - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_symmetric_of_constant_is_zero() {
-        assert_eq!(normalize_symmetric(&[3.0, 3.0, 3.0]), vec![0.0; 3]);
-    }
-
-    #[test]
     fn fit_length_pads_with_last_sample() {
         assert_eq!(
             fit_length(&[1.0, 2.0, 3.0], 5),
@@ -148,17 +103,5 @@ mod tests {
     #[test]
     fn fit_length_of_empty_zero_fills() {
         assert_eq!(fit_length(&[], 3), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn segment_drops_remainder() {
-        let segs = segment(&[1.0, 2.0, 3.0, 4.0, 5.0], 2);
-        assert_eq!(segs, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn segment_with_zero_length_panics() {
-        segment(&[1.0], 0);
     }
 }

@@ -10,7 +10,6 @@
 //! it back into a radio model the partition generator can re-plan with —
 //! the feedback path of the adaptive cross-end controller.
 
-use crate::model::TransceiverModel;
 use std::collections::VecDeque;
 
 /// One observed segment transfer: how many frame transmissions the plan
@@ -93,30 +92,12 @@ impl EffectiveEnergyEstimator {
         }
         (self.attempt_sum as f64 / self.planned_sum as f64).max(1.0)
     }
-
-    /// Effective transmit energy per bit (nJ) of `radio` under the
-    /// estimated channel: nominal energy times the inflation factor.
-    pub fn effective_tx_nj_per_bit(&self, radio: &TransceiverModel) -> f64 {
-        radio.tx_nj_per_bit() * self.factor()
-    }
-
-    /// Effective receive energy per bit (nJ) under the estimated channel.
-    pub fn effective_rx_nj_per_bit(&self, radio: &TransceiverModel) -> f64 {
-        radio.rx_nj_per_bit() * self.factor()
-    }
-
-    /// The radio model a planner should use under the estimated channel:
-    /// per-bit energies inflated by the factor and the effective data rate
-    /// deflated by it (each delivered bit occupies the channel `factor`
-    /// times).
-    pub fn derated_radio(&self, radio: &TransceiverModel) -> TransceiverModel {
-        radio.derated(self.factor())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::TransceiverModel;
 
     fn s(planned: u64, attempts: u64) -> TransferSample {
         TransferSample {
@@ -171,11 +152,9 @@ mod tests {
         let mut e = EffectiveEnergyEstimator::new(4);
         e.record(s(1, 3));
         let base = TransceiverModel::model2();
-        let derated = e.derated_radio(&base);
+        let derated = base.derated(e.factor());
         assert!((derated.tx_nj_per_bit() - base.tx_nj_per_bit() * 3.0).abs() < 1e-12);
         assert!((derated.rx_nj_per_bit() - base.rx_nj_per_bit() * 3.0).abs() < 1e-12);
         assert!((derated.data_rate_bps() - base.data_rate_bps() / 3.0).abs() < 1e-9);
-        assert!((e.effective_tx_nj_per_bit(&base) - 1.53 * 3.0).abs() < 1e-12);
-        assert!((e.effective_rx_nj_per_bit(&base) - 1.71 * 3.0).abs() < 1e-12);
     }
 }

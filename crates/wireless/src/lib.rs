@@ -9,8 +9,14 @@
 //! | 3 | 0.42 nJ/bit | 0.295 nJ/bit | MedRadio-band low-energy-per-bit OOK |
 //!
 //! "The simulator employs a common communication protocol and considers an
-//! 8-bit header in each payload." Bluetooth Low Energy is deliberately not
-//! modelled (§4.2: orders of magnitude above the µW sensor budget).
+//! 8-bit header in each payload." Bluetooth Low Energy is priced only for
+//! the `ablation_ble` study (§4.2: orders of magnitude above the µW sensor
+//! budget).
+//!
+//! [`estimator`] tracks the retransmission inflation the adaptive
+//! controller re-plans with. [`link`] (MTU fragmentation and a BER
+//! retransmission model) is exercised only by tests; the fleet executor's
+//! lossy channel is `xpro-runtime`'s own link.
 //!
 //! # Examples
 //!

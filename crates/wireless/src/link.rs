@@ -64,16 +64,6 @@ impl Link {
         Link { radio, config }
     }
 
-    /// The underlying radio.
-    pub fn radio(&self) -> &TransceiverModel {
-        &self.radio
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> LinkConfig {
-        self.config
-    }
-
     /// Fragments a payload into frames, each within the MTU.
     pub fn fragment(&self, payload_bits: u64) -> Vec<Frame> {
         if payload_bits == 0 {
@@ -111,29 +101,6 @@ impl Link {
             .into_iter()
             .map(|f| self.radio.tx_frame_pj(f) * self.expected_transmissions(f))
             .sum()
-    }
-
-    /// Expected receive energy (pJ) for a payload.
-    pub fn rx_payload_pj(&self, payload_bits: u64) -> f64 {
-        self.fragment(payload_bits)
-            .into_iter()
-            .map(|f| self.radio.rx_frame_pj(f) * self.expected_transmissions(f))
-            .sum()
-    }
-
-    /// Expected air time (s) for a payload.
-    pub fn payload_airtime_s(&self, payload_bits: u64) -> f64 {
-        self.fragment(payload_bits)
-            .into_iter()
-            .map(|f| self.radio.frame_airtime_s(f) * self.expected_transmissions(f))
-            .sum()
-    }
-
-    /// Energy overhead factor of this link versus the ideal §4.2 model for
-    /// a given payload (≥ 1).
-    pub fn overhead_factor(&self, payload_bits: u64) -> f64 {
-        let ideal = Link::new(self.radio.clone(), LinkConfig::ideal());
-        self.tx_payload_pj(payload_bits) / ideal.tx_payload_pj(payload_bits)
     }
 }
 
@@ -231,18 +198,6 @@ mod tests {
         let frames = link.fragment(0);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].total_bits(), HEADER_BITS);
-    }
-
-    #[test]
-    fn overhead_factor_is_at_least_one() {
-        let link = Link::new(
-            TransceiverModel::model3(),
-            LinkConfig {
-                mtu_payload_bits: 1024,
-                bit_error_rate: 1e-5,
-            },
-        );
-        assert!(link.overhead_factor(10_000) >= 1.0);
     }
 
     #[test]

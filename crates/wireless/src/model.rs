@@ -152,22 +152,6 @@ impl TransceiverModel {
     pub fn frame_airtime_s(&self, frame: Frame) -> f64 {
         self.airtime_s(frame.total_bits())
     }
-
-    /// Worst-case channel occupancy of one frame under a bounded-retry
-    /// policy: `attempts` full transmissions of the same frame, in
-    /// seconds. Static timing analyzers use this as the per-frame demand
-    /// envelope; backoff gaps between attempts are idle channel time and
-    /// are accounted separately.
-    pub fn worst_case_airtime_s(&self, frame: Frame, attempts: u32) -> f64 {
-        f64::from(attempts) * self.frame_airtime_s(frame)
-    }
-
-    /// Worst-case sensor-side energy to deliver one frame under a
-    /// bounded-retry policy, in pJ: the radio spends transmit energy on
-    /// every attempt whether or not the frame survives the channel.
-    pub fn worst_case_tx_pj(&self, frame: Frame, attempts: u32) -> f64 {
-        f64::from(attempts) * self.tx_frame_pj(frame)
-    }
 }
 
 #[cfg(test)]
@@ -204,16 +188,6 @@ mod tests {
         let m = TransceiverModel::model3();
         let f = Frame::for_samples(1, 32);
         assert!((m.tx_frame_pj(f) - 40.0 * 420.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn worst_case_queries_scale_with_attempts() {
-        let m = TransceiverModel::model2();
-        let f = Frame::for_samples(4, 32);
-        assert_eq!(m.worst_case_airtime_s(f, 0), 0.0);
-        assert!((m.worst_case_airtime_s(f, 1) - m.frame_airtime_s(f)).abs() < 1e-15);
-        assert!((m.worst_case_airtime_s(f, 4) - 4.0 * m.frame_airtime_s(f)).abs() < 1e-15);
-        assert!((m.worst_case_tx_pj(f, 4) - 4.0 * m.tx_frame_pj(f)).abs() < 1e-9);
     }
 
     #[test]

@@ -98,30 +98,12 @@ struct Args {
     case: CaseId,
     segments: usize,
     engine: Engine,
-    nodes: usize,
-    seconds: f64,
-    drop_rate: f64,
-    max_retries: u32,
-    timeout_s: f64,
-    seed: u64,
     shards: ShardCount,
-    burst_bad_rate: f64,
-    burst_p_enter: f64,
-    burst_p_exit: f64,
-    burst_slot_s: f64,
-    mtbf_s: f64,
-    mttr_s: f64,
-    warmup_s: f64,
-    battery_pj: f64,
-    outage: Option<(f64, f64)>,
-    agg_inbox: usize,
-    tenants: Vec<TenantSpec>,
-    adaptive: bool,
-    adaptive_window: usize,
-    hysteresis: f64,
-    min_dwell_s: f64,
     json: bool,
     export: Option<std::path::PathBuf>,
+    /// The fleet options, parsed straight into the configuration;
+    /// `FleetSpec::new` validates it.
+    config: RuntimeConfig,
 }
 
 /// Parses the command line (program name excluded). An empty error
@@ -131,31 +113,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         case: CaseId::C1,
         segments: 60,
         engine: Engine::CrossEnd,
-        nodes: 4,
-        seconds: 10.0,
-        drop_rate: 0.0,
-        max_retries: 3,
-        timeout_s: 1.0,
-        seed: 1,
         shards: ShardCount::Auto,
-        burst_bad_rate: 0.0,
-        burst_p_enter: 0.0,
-        burst_p_exit: 0.0,
-        burst_slot_s: 0.1,
-        mtbf_s: 0.0,
-        mttr_s: 1.0,
-        warmup_s: 0.0,
-        battery_pj: 0.0,
-        outage: None,
-        agg_inbox: 256,
-        tenants: Vec::new(),
-        adaptive: false,
-        adaptive_window: 64,
-        hysteresis: 1.5,
-        min_dwell_s: 0.5,
         json: false,
         export: None,
+        config: RuntimeConfig::default(),
     };
+    let cfg = &mut args.config;
     let mut it = argv.iter().map(String::as_str);
     while let Some(flag) = it.next() {
         match flag {
@@ -184,12 +147,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     other => return Err(format!("unknown engine {other:?}")),
                 };
             }
-            "--nodes" => args.nodes = parsed(flag, it.next())?,
-            "--seconds" => args.seconds = parsed(flag, it.next())?,
-            "--drop-rate" => args.drop_rate = parsed(flag, it.next())?,
-            "--max-retries" => args.max_retries = parsed(flag, it.next())?,
-            "--timeout" => args.timeout_s = parsed(flag, it.next())?,
-            "--seed" => args.seed = parsed(flag, it.next())?,
+            "--nodes" => cfg.nodes = parsed(flag, it.next())?,
+            "--seconds" => cfg.duration_s = parsed(flag, it.next())?,
+            "--drop-rate" => cfg.drop_rate = parsed(flag, it.next())?,
+            "--max-retries" => cfg.max_retries = parsed(flag, it.next())?,
+            "--timeout" => cfg.timeout_s = parsed(flag, it.next())?,
+            "--seed" => cfg.seed = parsed(flag, it.next())?,
             "--shards" => {
                 let spec = value(flag, it.next())?;
                 args.shards = if spec.eq_ignore_ascii_case("auto") {
@@ -198,35 +161,34 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     ShardCount::Fixed(parsed(flag, Some(spec))?)
                 };
             }
-            "--burst-bad-rate" => args.burst_bad_rate = parsed(flag, it.next())?,
-            "--burst-p-enter" => args.burst_p_enter = parsed(flag, it.next())?,
-            "--burst-p-exit" => args.burst_p_exit = parsed(flag, it.next())?,
-            "--burst-slot-s" => args.burst_slot_s = parsed(flag, it.next())?,
-            "--mtbf-s" => args.mtbf_s = parsed(flag, it.next())?,
-            "--mttr-s" => args.mttr_s = parsed(flag, it.next())?,
-            "--warmup-s" => args.warmup_s = parsed(flag, it.next())?,
-            "--battery-pj" => args.battery_pj = parsed(flag, it.next())?,
+            "--burst-bad-rate" => cfg.burst_bad_rate = parsed(flag, it.next())?,
+            "--burst-p-enter" => cfg.burst_p_enter = parsed(flag, it.next())?,
+            "--burst-p-exit" => cfg.burst_p_exit = parsed(flag, it.next())?,
+            "--burst-slot-s" => cfg.burst_slot_s = parsed(flag, it.next())?,
+            "--mtbf-s" => cfg.mtbf_s = parsed(flag, it.next())?,
+            "--mttr-s" => cfg.mttr_s = parsed(flag, it.next())?,
+            "--warmup-s" => cfg.reboot_warmup_s = parsed(flag, it.next())?,
+            "--battery-pj" => cfg.battery_budget_pj = parsed(flag, it.next())?,
             "--aggregator-outage" => {
                 let spec = value(flag, it.next())?;
                 let (period, dur) = spec.split_once(',').ok_or_else(|| {
                     format!("--aggregator-outage expects PERIOD,DUR, got {spec:?}")
                 })?;
-                args.outage = Some((
-                    parsed("--aggregator-outage period", Some(period.trim()))?,
-                    parsed("--aggregator-outage duration", Some(dur.trim()))?,
-                ));
+                cfg.agg_outage_period_s =
+                    parsed("--aggregator-outage period", Some(period.trim()))?;
+                cfg.agg_outage_s = parsed("--aggregator-outage duration", Some(dur.trim()))?;
             }
-            "--agg-inbox" => args.agg_inbox = parsed(flag, it.next())?,
+            "--agg-inbox" => cfg.agg_inbox = parsed(flag, it.next())?,
             "--tenants" => {
                 let path = value(flag, it.next())?;
                 let src =
                     std::fs::read_to_string(path).map_err(|e| format!("--tenants: {path}: {e}"))?;
-                args.tenants = parse_tenants(&src).map_err(|e| format!("--tenants: {e}"))?;
+                cfg.tenants = parse_tenants(&src).map_err(|e| format!("--tenants: {e}"))?;
             }
-            "--adaptive" => args.adaptive = true,
-            "--adaptive-window" => args.adaptive_window = parsed(flag, it.next())?,
-            "--hysteresis" => args.hysteresis = parsed(flag, it.next())?,
-            "--min-dwell-s" => args.min_dwell_s = parsed(flag, it.next())?,
+            "--adaptive" => cfg.adaptive = true,
+            "--adaptive-window" => cfg.adaptive_window = parsed(flag, it.next())?,
+            "--hysteresis" => cfg.hysteresis = parsed(flag, it.next())?,
+            "--min-dwell-s" => cfg.min_dwell_s = parsed(flag, it.next())?,
             "--json" => args.json = true,
             "--export" => args.export = Some(value(flag, it.next())?.into()),
             "-h" | "--help" => return Err(String::new()),
@@ -286,35 +248,6 @@ fn read_tenants(src: &str) -> Result<Vec<TenantSpec>, JsonError> {
     Ok(tenants)
 }
 
-/// The validated fleet configuration the arguments describe.
-fn run_config(args: &Args) -> Result<RuntimeConfig, XProError> {
-    let (outage_period, outage_s) = args.outage.unwrap_or((0.0, 0.0));
-    RuntimeConfig::builder()
-        .nodes(args.nodes)
-        .duration_s(args.seconds)
-        .drop_rate(args.drop_rate)
-        .max_retries(args.max_retries)
-        .timeout_s(args.timeout_s)
-        .seed(args.seed)
-        .burst_bad_rate(args.burst_bad_rate)
-        .burst_p_enter(args.burst_p_enter)
-        .burst_p_exit(args.burst_p_exit)
-        .burst_slot_s(args.burst_slot_s)
-        .mtbf_s(args.mtbf_s)
-        .mttr_s(args.mttr_s)
-        .reboot_warmup_s(args.warmup_s)
-        .battery_budget_pj(args.battery_pj)
-        .agg_outage_period_s(outage_period)
-        .agg_outage_s(outage_s)
-        .agg_inbox(args.agg_inbox)
-        .tenants(args.tenants.clone())
-        .adaptive(args.adaptive)
-        .adaptive_window(args.adaptive_window)
-        .hysteresis(args.hysteresis)
-        .min_dwell_s(args.min_dwell_s)
-        .build()
-}
-
 fn run(args: &Args) -> Result<(), XProError> {
     let data = generate_case_sized(args.case, args.segments, 42);
     let cfg = PipelineConfig::builder()
@@ -333,7 +266,7 @@ fn run(args: &Args) -> Result<(), XProError> {
     let generator = XProGenerator::new(&instance);
     let partition = generator.partition_for(args.engine)?;
 
-    let spec = FleetSpec::new(&instance, &partition, run_config(args)?)?;
+    let spec = FleetSpec::new(&instance, &partition, args.config.clone())?;
     let handle = ExecutorBuilder::new(spec)
         .shards(args.shards)
         .record_timesteps(args.export.is_some())
@@ -434,7 +367,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_args, parse_tenants, run_config};
+    use super::{parse_args, parse_tenants};
     use proptest::prelude::*;
 
     const EXAMPLE: &str = include_str!("../../examples/tenants.json");
@@ -502,20 +435,21 @@ mod tests {
     /// configuration it describes: neither step may panic.
     fn read_args(argv: &[String]) {
         if let Ok(args) = parse_args(argv) {
-            let _ = run_config(&args);
+            let _ = args.config.validate();
         }
     }
 
     #[test]
     fn full_command_line_parses_every_option() {
         let args = parse_args(&argv(ARGV)).expect("parses");
+        let cfg = &args.config;
         assert_eq!(args.case.symbol(), "E2");
-        assert_eq!((args.nodes, args.segments, args.agg_inbox), (8, 60, 128));
+        assert_eq!((cfg.nodes, args.segments, cfg.agg_inbox), (8, 60, 128));
         assert_eq!(args.shards, xpro::runtime::ShardCount::Fixed(3));
-        assert_eq!(args.outage, Some((10.0, 1.0)));
-        assert_eq!(args.tenants.len(), 3);
-        assert!(args.adaptive && args.json && args.export.is_none());
-        let cfg = run_config(&args).expect("a valid fleet");
+        assert_eq!((cfg.agg_outage_period_s, cfg.agg_outage_s), (10.0, 1.0));
+        assert_eq!(cfg.tenants.len(), 3);
+        assert!(cfg.adaptive && args.json && args.export.is_none());
+        cfg.validate().expect("a valid fleet");
         assert_eq!((cfg.battery_budget_pj, cfg.min_dwell_s), (1e12, 1.0));
         assert!(parse_args(&argv(&["--help"])).is_err_and(|e| e.is_empty()));
     }

@@ -88,8 +88,9 @@ fn observed_score_deviations_stay_within_the_static_envelopes() {
         bounds,
     )
     .expect("valid instance");
-    let cut = XProGenerator::new(&instance).generate().expect("cut");
-    let all_sensor = Partition::all_sensor(instance.num_cells());
+    let generator = XProGenerator::new(&instance);
+    let cut = generator.generate().expect("cut");
+    let fallback = generator.fallback_cut();
     let specs = cell_specs(&p.built().graph);
 
     let mut state = 0xD1CE_u64;
@@ -108,7 +109,7 @@ fn observed_score_deviations_stay_within_the_static_envelopes() {
             &ApproxBudget::default(),
         )
         .expect("analysis");
-        for partition in [&all_sensor, &cut] {
+        for partition in [&fallback, &cut] {
             for _ in 0..12 {
                 let seg = &data.segments[(lcg(&mut state) % data.len() as u64) as usize];
                 let exact = p.base_scores_q16(seg, partition);

@@ -1,7 +1,9 @@
-//! Integration tests for the §5.7 extensions and auxiliary substrates
-//! through the facade crate: multi-classification, multi-node BSNs, the
-//! heuristic baselines, area estimation, link non-idealities and the
-//! transient battery model all composing with the core engine.
+//! Integration tests for the §5.7 extensions through the facade crate:
+//! multi-classification, multi-node BSNs and the heuristic baselines
+//! composing with the core engine. The last four cases are the only
+//! callers of the test-only side models (area estimation, link
+//! non-idealities, the transient battery and the Fig.-3 cell state
+//! machine); DESIGN.md §2 says why those models stay.
 
 use xpro::core::builder::BuildOptions;
 use xpro::core::config::SystemConfig;

@@ -42,8 +42,9 @@ fn simulated_energy_equals_analytic_energy_on_trained_graphs() {
         let p = generator.partition_for(engine).expect("partition");
         let analytic = evaluate(&inst, &p).sensor.total_pj();
         let simulated = simulate_event(&inst, &p).sensor_energy_pj;
-        assert!(
-            (analytic - simulated).abs() < 1e-5,
+        assert_eq!(
+            analytic.to_bits(),
+            simulated.to_bits(),
             "{engine}: analytic {analytic} vs simulated {simulated}"
         );
     }
