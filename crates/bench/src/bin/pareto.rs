@@ -1,21 +1,22 @@
 //! Energy–delay Pareto frontier of the delay-constrained generator
 //! (extends ablation A4): sweep the delay limit from just above the
 //! theoretical floor up past the paper's `min(T_F, T_B)` default, and report
-//! the minimum sensor energy at each point.
+//! the minimum sensor energy at each point. The limits share one priced
+//! instance, so one plan cache serves them all from a single λ search.
 //!
 //! Run: `cargo run --release -p xpro-bench --bin pareto [--paper]`
 
 use xpro_bench::{fmt, paper_mode, print_table, train_case};
 use xpro_core::config::SystemConfig;
 use xpro_core::partition::evaluate;
-use xpro_core::XProGenerator;
+use xpro_core::{PlanCache, XProGenerator};
 use xpro_data::CaseId;
 
 fn main() {
     let t = train_case(CaseId::E1, paper_mode());
     let inst = t.instance(SystemConfig::default());
-    let generator = XProGenerator::new(&inst);
-    let default_limit = generator.default_delay_limit();
+    let default_limit = XProGenerator::new(&inst).default_delay_limit();
+    let mut cache = PlanCache::new(1);
 
     let header: Vec<String> = [
         "delay limit",
@@ -30,8 +31,8 @@ fn main() {
     let mut rows = Vec::new();
     for fraction in [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.5, 2.0] {
         let limit = default_limit * fraction;
-        match generator.delay_constrained_cut(limit) {
-            Ok(p) => {
+        match cache.plan_for(&inst, limit) {
+            Ok((p, _)) => {
                 let e = evaluate(&inst, &p);
                 rows.push(vec![
                     format!("{:.2}ms ({fraction:.1}x)", limit * 1e3),

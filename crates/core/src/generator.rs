@@ -231,22 +231,49 @@ impl<'a> XProGenerator<'a> {
         &self,
         t_limit_s: f64,
     ) -> Result<(Partition, Option<CutCertificate>), XProError> {
-        if t_limit_s.is_nan() || t_limit_s <= 0.0 {
-            return Err(XProError::config(format!(
-                "delay limit must be positive, got {t_limit_s}"
-            )));
-        }
+        check_limit(t_limit_s)?;
+        let (search, certificates) = self.search()?;
+        self.plan_searched(&search, certificates, t_limit_s)
+    }
+
+    /// The limit-dependent half of
+    /// [`XProGenerator::delay_constrained_cut_certified`]: selects from
+    /// this instance's `search` and verifies the winner with its
+    /// certificate from `certificates`.
+    pub(crate) fn plan_searched(
+        &self,
+        search: &CutSearch,
+        mut certificates: Vec<Option<CutCertificate>>,
+        t_limit_s: f64,
+    ) -> Result<(Partition, Option<CutCertificate>), XProError> {
+        let winner = search.select(t_limit_s)?;
+        let partition = search.candidates[winner].partition.clone();
+        let certificate = certificates.swap_remove(winner);
+        verify_plan(self.instance, &partition, certificate.as_ref(), t_limit_s)?;
+        Ok((partition, certificate))
+    }
+
+    /// The limit-independent half of
+    /// [`XProGenerator::delay_constrained_cut_certified`]: the numerically
+    /// valid candidates in order, priced, with the certificate of each
+    /// cut-derived one (`None` for the single-end and trivial designs).
+    ///
+    /// Every cut is re-verified against its certificate before it may
+    /// compete.
+    pub(crate) fn search(&self) -> Result<(CutSearch, Vec<Option<CutCertificate>>), XProError> {
         let n = self.instance.num_cells();
         let mut candidates: Vec<(Partition, Option<CutCertificate>)> = vec![
             (Partition::all_aggregator(n), None),
             (Partition::all_sensor(n), None),
             (self.trivial_cut(), None),
         ];
-        // The network topology does not depend on λ: derive it once, then
-        // price, solve and certify it per λ.
+        // The network topology does not depend on λ: derive it once, build
+        // one network, then re-price, solve and certify it per λ.
         let template = StTemplate::new(self.instance);
-        let solve = |lambda: f64| -> Result<(Partition, CutCertificate), XProError> {
-            let (p, cert) = template.min_cut(lambda);
+        let grid = lambda_grid();
+        let mut network = template.network(grid[0]);
+        let mut solve = |lambda: f64| -> Result<(Partition, CutCertificate), XProError> {
+            let (p, cert) = template.min_cut_in(&mut network, lambda);
             check_against(&template, &p, &cert)?;
             Ok((p, cert))
         };
@@ -256,7 +283,6 @@ impl<'a> XProGenerator<'a> {
         // grid λ is such a point, so visiting the solved points in grid
         // order adds the candidates, with their certificates, that solving
         // every point would.
-        let grid = lambda_grid();
         let last = grid.len() - 1;
         let mut solved: Vec<Option<(Partition, CutCertificate)>> = vec![None; grid.len()];
         solved[0] = Some(solve(grid[0])?);
@@ -275,32 +301,123 @@ impl<'a> XProGenerator<'a> {
                 candidates.push((p, Some(cert)));
             }
         }
+        let (candidates, certificates) = candidates
+            .into_iter()
+            .filter(|(p, _)| self.numerically_valid(p))
+            .map(|(partition, cert)| {
+                let e = evaluate(self.instance, &partition);
+                let candidate = Candidate {
+                    partition,
+                    sensor_pj: e.sensor.total_pj(),
+                    delay_s: e.delay.total_s(),
+                    lambda_pj_per_s: cert.as_ref().map(|c| c.lambda_pj_per_s),
+                };
+                (candidate, cert)
+            })
+            .unzip();
+        Ok((CutSearch { candidates }, certificates))
+    }
+
+    /// Plans `t_limit_s` from a search of an instance with this one's
+    /// inputs, without searching again: selects the winner, re-solves a
+    /// cut-derived winner once at its λ on this instance for its
+    /// certificate, and verifies the plan ([`verify_plan`]).
+    ///
+    /// Returns `Ok(None)` when the re-solve does not reproduce the
+    /// search's cut or the plan fails verification: the search then does
+    /// not describe this instance, and only a fresh one can plan it.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CutSearch::select`].
+    pub(crate) fn plan_from(
+        &self,
+        search: &CutSearch,
+        t_limit_s: f64,
+    ) -> Result<Option<(Partition, Option<CutCertificate>)>, XProError> {
+        let winner = &search.candidates[search.select(t_limit_s)?];
+        let certificate = match winner.lambda_pj_per_s {
+            None => None,
+            Some(lambda) => {
+                let (p, cert) = StTemplate::new(self.instance).min_cut(lambda);
+                if p != winner.partition {
+                    return Ok(None);
+                }
+                Some(cert)
+            }
+        };
+        Ok(verify_plan(
+            self.instance,
+            &winner.partition,
+            certificate.as_ref(),
+            t_limit_s,
+        )
+        .is_ok()
+        .then(|| (winner.partition.clone(), certificate)))
+    }
+}
+
+/// A numerically valid candidate of a [`CutSearch`], priced.
+#[derive(Clone, Debug)]
+pub(crate) struct Candidate {
+    pub(crate) partition: Partition,
+    /// Sensor-node energy per event.
+    pub(crate) sensor_pj: f64,
+    /// End-to-end event delay.
+    pub(crate) delay_s: f64,
+    /// The first grid λ whose min cut this is; `None` for the single-end
+    /// and trivial designs.
+    pub(crate) lambda_pj_per_s: Option<f64>,
+}
+
+/// The delay-limit-independent result of the generator's λ search: the
+/// numerically valid candidates, in the order the selection breaks ties
+/// by (single-end and trivial designs, then grid cuts in grid order).
+/// It holds no certificates.
+#[derive(Clone, Debug)]
+pub(crate) struct CutSearch {
+    pub(crate) candidates: Vec<Candidate>,
+}
+
+impl CutSearch {
+    /// Index of the minimum-energy candidate whose delay meets
+    /// `t_limit_s` (the first such, on ties).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XProError::Config`] when `t_limit_s` is not positive and
+    /// [`XProError::Partition`] when no candidate meets the limit.
+    pub(crate) fn select(&self, t_limit_s: f64) -> Result<usize, XProError> {
+        check_limit(t_limit_s)?;
         // Tolerate floating-point noise in the measured delay: the
         // single-end designs define the limit, so they must stay feasible.
         let tol = t_limit_s * 1e-9;
-        let winner = candidates
-            .into_iter()
-            .filter(|(p, _)| self.numerically_valid(p))
-            .map(|(p, cert)| {
-                let e = evaluate(self.instance, &p);
-                (p, cert, e)
-            })
-            .filter(|(_, _, e)| e.delay.total_s() <= t_limit_s + tol)
+        self.candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.delay_s <= t_limit_s + tol)
             .min_by(|a, b| {
-                a.2.sensor
-                    .total_pj()
-                    .partial_cmp(&b.2.sensor.total_pj())
+                a.1.sensor_pj
+                    .partial_cmp(&b.1.sensor_pj)
                     .expect("energies are finite")
             })
-            .map(|(p, cert, _)| (p, cert))
+            .map(|(i, _)| i)
             .ok_or_else(|| {
                 XProError::partition(format!(
                     "no numerically valid partition meets the {t_limit_s} s delay limit"
                 ))
-            })?;
-        verify_plan(self.instance, &winner.0, winner.1.as_ref(), t_limit_s)?;
-        Ok(winner)
+            })
     }
+}
+
+/// Rejects a delay limit that is not positive.
+pub(crate) fn check_limit(t_limit_s: f64) -> Result<(), XProError> {
+    if t_limit_s.is_nan() || t_limit_s <= 0.0 {
+        return Err(XProError::config(format!(
+            "delay limit must be positive, got {t_limit_s}"
+        )));
+    }
+    Ok(())
 }
 
 /// The Lagrangian sweep's λ grid in pJ/s: 0, then 1e5·3^k up to 1e14.

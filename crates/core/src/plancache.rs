@@ -15,6 +15,14 @@
 //! and falls back to cold generation, exactly as if the cache did not
 //! exist.
 //!
+//! Beneath the plans, the cache memoizes the generator's λ search per
+//! priced instance (the plan key without the deadline). The search does
+//! not depend on the deadline, so a new deadline for a known instance
+//! only selects among the memoized candidates and re-solves the winner's
+//! λ once for its certificate; a re-solve that does not reproduce the
+//! memoized cut drops the memo and searches afresh (DESIGN.md §7, "One
+//! search per priced instance"). Memoized searches hold no certificates.
+//!
 //! The cache is deliberately free of interior mutability (no locks, no
 //! `RefCell`) — all mutation flows through `&mut self`, which keeps it
 //! inside the workspace's sharding lint rules and makes its behaviour
@@ -26,7 +34,7 @@ use std::collections::BTreeMap;
 
 use crate::certificate::{verify_plan, CutCertificate};
 use crate::error::XProError;
-use crate::generator::XProGenerator;
+use crate::generator::{check_limit, CutSearch, XProGenerator};
 use crate::instance::XProInstance;
 use crate::partition::Partition;
 
@@ -47,7 +55,8 @@ pub struct CachedPlan {
 pub struct PlanCacheStats {
     /// Lookups served from the cache after certificate re-verification.
     pub hits: u64,
-    /// Lookups that fell through to cold generation.
+    /// Lookups whose plan key was not cached (or was evicted), whether
+    /// they were planned from a memoized search or by a full one.
     pub misses: u64,
     /// Cached entries that failed certificate re-verification and were
     /// evicted (the lookup then proceeds as a miss, counted separately).
@@ -121,8 +130,15 @@ impl std::fmt::Write for Fnv1a {
 #[derive(Clone, Debug)]
 pub struct PlanCache {
     shards: Vec<BTreeMap<String, CachedPlan>>,
+    /// The generator's λ search per priced instance, by
+    /// [`PlanCache::key`]'s instance part.
+    searches: BTreeMap<InstanceKey, CutSearch>,
     stats: PlanCacheStats,
 }
+
+/// The instance part of a plan key: input digest, cell count and segment
+/// length.
+type InstanceKey = (u64, usize, usize);
 
 impl PlanCache {
     /// Creates a cache with `shards` internal map shards (clamped to at
@@ -132,6 +148,7 @@ impl PlanCache {
     pub fn new(shards: usize) -> Self {
         Self {
             shards: vec![BTreeMap::new(); shards.max(1)],
+            searches: BTreeMap::new(),
             stats: PlanCacheStats::default(),
         }
     }
@@ -151,6 +168,11 @@ impl PlanCache {
     /// yield an unsound plan.
     #[must_use]
     pub fn key(instance: &XProInstance, t_limit_s: f64) -> String {
+        Self::plan_key(Self::instance_key(instance), t_limit_s)
+    }
+
+    /// The deadline-independent part of [`PlanCache::key`].
+    fn instance_key(instance: &XProInstance) -> InstanceKey {
         use std::fmt::Write as _;
         let graph = &instance.built().graph;
         let mut hash = Fnv1a::new();
@@ -164,12 +186,13 @@ impl PlanCache {
             instance.approx(),
         )
         .expect("hashing a rendering cannot fail");
+        (hash.0, instance.num_cells(), instance.segment_len())
+    }
+
+    fn plan_key((digest, cells, segment_len): InstanceKey, t_limit_s: f64) -> String {
         format!(
-            "{:016x}:{:016x}:{}c{}s",
-            hash.0,
+            "{digest:016x}:{:016x}:{cells}c{segment_len}s",
             t_limit_s.to_bits(),
-            instance.num_cells(),
-            instance.segment_len(),
         )
     }
 
@@ -182,7 +205,9 @@ impl PlanCache {
     /// Returns the delay-constrained certified plan for `instance`,
     /// from cache when a previously memoized plan for an identical
     /// configuration re-passes certificate verification, otherwise by
-    /// invoking the generator cold (and memoizing the result).
+    /// invoking the generator cold (and memoizing the result). A cold
+    /// plan for an instance whose λ search is memoized selects from that
+    /// search and re-solves only the winner's λ.
     ///
     /// # Errors
     ///
@@ -194,7 +219,8 @@ impl PlanCache {
         instance: &XProInstance,
         t_limit_s: f64,
     ) -> Result<(Partition, Option<CutCertificate>), XProError> {
-        let key = Self::key(instance, t_limit_s);
+        let instance_key = Self::instance_key(instance);
+        let key = Self::plan_key(instance_key, t_limit_s);
         let shard = self.shard_of(&key);
         if let Some(cached) = self.shards[shard].get(&key) {
             if verify_plan(
@@ -214,8 +240,23 @@ impl PlanCache {
             self.shards[shard].remove(&key);
         }
         self.stats.misses += 1;
-        let (partition, certificate) =
-            XProGenerator::new(instance).delay_constrained_cut_certified(t_limit_s)?;
+        let generator = XProGenerator::new(instance);
+        let memoized = match self.searches.get(&instance_key) {
+            Some(search) => generator.plan_from(search, t_limit_s)?,
+            None => None,
+        };
+        let (partition, certificate) = match memoized {
+            Some(plan) => plan,
+            None => {
+                // No memo, or one this instance does not reproduce.
+                self.searches.remove(&instance_key);
+                check_limit(t_limit_s)?;
+                let (search, certificates) = generator.search()?;
+                let plan = generator.plan_searched(&search, certificates, t_limit_s);
+                self.searches.insert(instance_key, search);
+                plan?
+            }
+        };
         self.shards[shard].insert(
             key,
             CachedPlan {
@@ -439,6 +480,99 @@ mod tests {
                 assert_eq!(replanned, good);
                 assert_eq!(cache.stats().rejected, 1);
             }
+        }
+    }
+
+    /// `instance()` re-priced under radios derated 1× and 4×: both
+    /// searches yield a cut-derived candidate.
+    fn priced_instances() -> Vec<XProInstance> {
+        let base = instance();
+        [1.0, 4.0]
+            .into_iter()
+            .map(|derate| {
+                let config = SystemConfig {
+                    radio: base.config().radio.derated(derate),
+                    ..base.config().clone()
+                };
+                base.reconfigured(config).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_search_serves_every_deadline_of_a_priced_instance() {
+        let mut cache = PlanCache::new(2);
+        let mut requests = 0;
+        for inst in priced_instances() {
+            let gen = XProGenerator::new(&inst);
+            let base = gen.default_delay_limit();
+            for factor in [1.0, 0.5, 2.0, 1.25, 4.0] {
+                let limit = base * factor;
+                let got = cache.plan_for(&inst, limit);
+                let want = gen.delay_constrained_cut_certified(limit);
+                requests += 1;
+                match (got, want) {
+                    (Ok((p, c)), Ok((wp, wc))) => {
+                        assert_eq!(p, wp, "{factor}x");
+                        assert_eq!(
+                            c.map(|c| (c.lambda_pj_per_s.to_bits(), c.witness)),
+                            wc.map(|c| (c.lambda_pj_per_s.to_bits(), c.witness)),
+                            "{factor}x"
+                        );
+                    }
+                    (Err(_), Err(_)) => {}
+                    (got, want) => panic!("{factor}x: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        // One search per priced instance; every request is a key miss.
+        assert_eq!(cache.searches.len(), 2);
+        assert_eq!(cache.stats().misses, requests);
+        assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn forged_memo_cut_falls_back_to_a_full_search() {
+        for inst in priced_instances() {
+            let gen = XProGenerator::new(&inst);
+            let limit = gen.default_delay_limit() * 2.0;
+            let (fresh, fresh_cert) = gen.delay_constrained_cut_certified(limit).unwrap();
+            let (mut search, _) = gen.search().unwrap();
+            // Forge the memo: a cut-derived candidate records a cut its λ
+            // does not yield, and is made the cheapest feasible choice.
+            let candidate = search
+                .candidates
+                .iter_mut()
+                .find(|c| c.lambda_pj_per_s.is_some())
+                .expect("a cut-derived candidate");
+            let forged = Partition {
+                in_sensor: candidate.partition.in_sensor.iter().map(|&b| !b).collect(),
+            };
+            assert_ne!(forged, fresh);
+            candidate.partition = forged.clone();
+            candidate.sensor_pj = -1.0;
+            candidate.delay_s = 0.0;
+            let key = PlanCache::instance_key(&inst);
+            let mut cache = PlanCache::new(1);
+            cache.searches.insert(key, search);
+
+            let (planned, cert) = cache.plan_for(&inst, limit).unwrap();
+            assert_ne!(planned, forged, "the forged cut shipped");
+            assert_eq!(planned, fresh);
+            assert_eq!(cert.map(|c| c.witness), fresh_cert.map(|c| c.witness));
+            // The forged memo was replaced by the instance's own search.
+            let cuts = |s: &CutSearch| -> Vec<Partition> {
+                s.candidates.iter().map(|c| c.partition.clone()).collect()
+            };
+            assert_eq!(cuts(&cache.searches[&key]), cuts(&gen.search().unwrap().0));
+            assert_eq!(
+                cache.stats(),
+                PlanCacheStats {
+                    hits: 0,
+                    misses: 1,
+                    rejected: 0
+                }
+            );
         }
     }
 

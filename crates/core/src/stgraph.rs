@@ -24,7 +24,8 @@
 //! weights, the identical construction serves the delay-constrained
 //! generator (§3.2.3) via a Lagrangian sweep. Only the weights depend on
 //! λ, so the sweep derives the topology and each edge's energy and delay
-//! once (`StTemplate`) and prices it per λ.
+//! once (`StTemplate`), builds one network from it, and re-prices that
+//! network in place at each λ.
 
 use crate::cellgraph::CellId;
 use crate::certificate::CutCertificate;
@@ -72,8 +73,9 @@ impl TemplateEdge {
 
 /// The λ-independent part of an instance's s-t network: node ids and
 /// edges in construction order, each edge with its energy and delay
-/// contribution kept apart. A Lagrangian sweep derives it once and prices
-/// it per λ ([`StTemplate::network`]); the certificate checker compares a
+/// contribution kept apart. A Lagrangian sweep derives it once, builds one
+/// network ([`StTemplate::network`]) and re-prices it per λ
+/// ([`StTemplate::min_cut_in`]); the certificate checker compares a
 /// witness against the same prices ([`StTemplate::listed_capacities`]).
 #[derive(Clone, Debug)]
 pub(crate) struct StTemplate {
@@ -85,7 +87,7 @@ pub(crate) struct StTemplate {
     pub(crate) sink: NodeId,
     /// `cell_node[c]` is the network node of functional cell `c`.
     pub(crate) cell_node: Vec<NodeId>,
-    /// Edges in insertion order, which fixes the solver's adjacency order.
+    /// Edges in insertion order, which fixes the solver's arc order.
     edges: Vec<TemplateEdge>,
     /// Edge indices in the order [`FlowNetwork::edges`] and the max-flow
     /// witness list them: grouped by tail node, insertion order within.
@@ -216,15 +218,32 @@ impl StTemplate {
         })
     }
 
-    /// Solves the min cut under λ and returns the induced partition with
-    /// its [`CutCertificate`].
+    /// Solves the min cut under λ on a fresh network and returns the
+    /// induced partition with its [`CutCertificate`].
     ///
     /// # Panics
     ///
     /// Panics if `lambda_pj_per_s` is negative.
     pub(crate) fn min_cut(&self, lambda_pj_per_s: f64) -> (Partition, CutCertificate) {
-        let st = self.network(lambda_pj_per_s);
-        let witness = st.net.min_cut_with_witness(st.source, st.sink);
+        self.min_cut_in(&mut self.network(lambda_pj_per_s), lambda_pj_per_s)
+    }
+
+    /// [`StTemplate::min_cut`] on `st`, a network of this template,
+    /// re-priced in place under λ. The solve starts from zero flow, so it
+    /// does the same arithmetic as on a fresh network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda_pj_per_s` is negative.
+    pub(crate) fn min_cut_in(
+        &self,
+        st: &mut StNetwork,
+        lambda_pj_per_s: f64,
+    ) -> (Partition, CutCertificate) {
+        assert!(lambda_pj_per_s >= 0.0, "lambda must be non-negative");
+        st.net
+            .reprice(self.edges.iter().map(|e| e.capacity(lambda_pj_per_s)));
+        let witness = st.net.cut_witness(st.source, st.sink);
         let partition = Partition {
             in_sensor: st
                 .cell_node
@@ -236,7 +255,7 @@ impl StTemplate {
             witness,
             source: st.source,
             sink: st.sink,
-            cell_node: st.cell_node,
+            cell_node: st.cell_node.clone(),
             lambda_pj_per_s,
         };
         (partition, certificate)

@@ -91,11 +91,11 @@ impl Dataset {
     }
 
     /// Smallest and largest sample value over every segment — the input
-    /// bounds the static range analyzer assumes when checking whether the
-    /// fixed-point dataflow can overflow on this dataset. The pipeline's
-    /// symmetric normalization keeps values in `[-1, 1]`; un-normalized
-    /// sensor data can exceed that, which is exactly what the analyzer
-    /// needs to know.
+    /// bounds the static range analyzer should assume when checking
+    /// whether the fixed-point dataflow can overflow on this dataset.
+    /// Nothing normalizes raw segments before the pipeline quantizes them,
+    /// so this range can exceed the `[-1, 1]` that instances built with
+    /// default bounds are analyzed under (DESIGN.md §8, "Input bounds").
     pub fn signal_range(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;

@@ -4,6 +4,16 @@
 //! standard s-t min-cut (paper §3.2.2); this is the solver behind it. Dinic
 //! runs in `O(V²E)` — comfortably polynomial, which is the paper's
 //! complexity claim for the generator.
+//!
+//! A [`FlowNetwork`] records its edges in insertion order and, before its
+//! first solve, lays their arcs out flat: one array grouped by tail node,
+//! where each edge puts its forward arc at its tail and its reverse
+//! (residual) arc at its head, in insertion order within each node. The
+//! level, arc-cursor and queue scratch of the BFS and DFS phases lives in
+//! the network and is reused by every solve. [`FlowNetwork::reprice`]
+//! rewrites the forward arcs' capacities in place and zeroes the reverse
+//! arcs, so a Lagrangian sweep builds one network and solves it at every
+//! λ without allocating a network again.
 
 /// Identifier of a node in a [`FlowNetwork`].
 pub type NodeId = usize;
@@ -11,17 +21,25 @@ pub type NodeId = usize;
 /// Capacity value treated as unbounded.
 pub const INF: f64 = f64::INFINITY;
 
-#[derive(Clone, Debug)]
-struct Edge {
+/// Numerical floor: residual capacities at or below it count as exhausted.
+const EPS: f64 = 1e-9;
+
+/// One arc of the flat residual network.
+#[derive(Clone, Copy, Debug)]
+struct FlowArc {
     to: NodeId,
+    /// Residual capacity.
     cap: f64,
-    /// Index of the reverse edge in `adj[to]`.
+    /// Index of the paired arc in the arc array.
     rev: usize,
-    /// Whether this is an original (forward) edge rather than a residual.
+    /// Whether this is an original (forward) arc rather than a residual.
     forward: bool,
 }
 
 /// A directed flow network with real-valued capacities.
+///
+/// Adding a node or an edge after a solve makes the next solve lay the
+/// arcs out again, from zero flow.
 ///
 /// # Examples
 ///
@@ -40,7 +58,20 @@ struct Edge {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlowNetwork {
-    adj: Vec<Vec<Edge>>,
+    nodes: usize,
+    /// `(from, to, capacity)` of every edge, in insertion order.
+    edges: Vec<(NodeId, NodeId, f64)>,
+    /// `arcs[first[v]..first[v + 1]]` are the arcs leaving node `v`.
+    first: Vec<usize>,
+    arcs: Vec<FlowArc>,
+    /// The forward arc of every edge, in insertion order.
+    forward_arc: Vec<usize>,
+    /// BFS level of every node (`usize::MAX` when unreached).
+    level: Vec<usize>,
+    /// The DFS's next arc to try at every node.
+    cursor: Vec<usize>,
+    /// BFS queue.
+    queue: Vec<NodeId>,
 }
 
 /// Result of a min-cut computation.
@@ -81,7 +112,9 @@ pub struct CutWitness {
     pub value: f64,
     /// `source_side[v]` is `true` when `v` is on the source side.
     pub source_side: Vec<bool>,
-    /// Flow assignment on every original edge, in insertion order.
+    /// Flow assignment on every original edge, grouped by tail node and
+    /// in insertion order within a node (the order of
+    /// [`FlowNetwork::edges`]).
     pub edges: Vec<EdgeFlow>,
 }
 
@@ -93,27 +126,23 @@ impl FlowNetwork {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.add_nodes(1)
     }
 
     /// Adds `n` nodes, returning the id of the first.
     pub fn add_nodes(&mut self, n: usize) -> NodeId {
-        let first = self.adj.len();
-        for _ in 0..n {
-            self.adj.push(Vec::new());
-        }
-        first
+        self.nodes += n;
+        self.nodes - n
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// Whether the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.nodes == 0
     }
 
     /// Adds a directed edge with the given capacity.
@@ -123,24 +152,85 @@ impl FlowNetwork {
     /// Panics if either endpoint is out of range, the endpoints coincide,
     /// or the capacity is negative or NaN.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, cap: f64) {
-        assert!(from < self.adj.len(), "`from` out of range");
-        assert!(to < self.adj.len(), "`to` out of range");
+        assert!(from < self.nodes, "`from` out of range");
+        assert!(to < self.nodes, "`to` out of range");
         assert_ne!(from, to, "self-loops are not allowed");
         assert!(cap >= 0.0, "capacity must be non-negative and not NaN");
-        let rev_from = self.adj[to].len();
-        let rev_to = self.adj[from].len();
-        self.adj[from].push(Edge {
-            to,
-            cap,
-            rev: rev_from,
-            forward: true,
-        });
-        self.adj[to].push(Edge {
-            to: from,
+        self.edges.push((from, to, cap));
+    }
+
+    /// Lays the arcs out flat unless the layout already covers every node
+    /// and edge. A new layout starts from zero flow.
+    fn lay_out(&mut self) {
+        let n = self.nodes;
+        if self.first.len() == n + 1 && self.arcs.len() == 2 * self.edges.len() {
+            return;
+        }
+        self.first.clear();
+        self.first.resize(n + 1, 0);
+        for &(from, to, _) in &self.edges {
+            self.first[from + 1] += 1;
+            self.first[to + 1] += 1;
+        }
+        for v in 0..n {
+            self.first[v + 1] += self.first[v];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.first[..n]);
+        let unset = FlowArc {
+            to: 0,
             cap: 0.0,
-            rev: rev_to,
+            rev: 0,
             forward: false,
-        });
+        };
+        self.arcs.clear();
+        self.arcs.resize(2 * self.edges.len(), unset);
+        self.forward_arc.clear();
+        for &(from, to, cap) in &self.edges {
+            let (a, b) = (self.cursor[from], self.cursor[to]);
+            self.cursor[from] += 1;
+            self.cursor[to] += 1;
+            self.arcs[a] = FlowArc {
+                to,
+                cap,
+                rev: b,
+                forward: true,
+            };
+            self.arcs[b] = FlowArc {
+                to: from,
+                cap: 0.0,
+                rev: a,
+                forward: false,
+            };
+            self.forward_arc.push(a);
+        }
+        self.level.resize(n, usize::MAX);
+        self.queue.reserve(n);
+    }
+
+    /// Re-prices the network in place: edge `i` (in insertion order) gets
+    /// the `i`-th capacity, and every reverse arc is zeroed, so the next
+    /// solve starts from zero flow exactly as on a freshly built network
+    /// with these capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of capacities differs from the number of
+    /// edges, or a capacity is negative or NaN.
+    pub fn reprice(&mut self, capacities: impl IntoIterator<Item = f64>) {
+        self.lay_out();
+        let mut count = 0;
+        for (i, cap) in capacities.into_iter().enumerate() {
+            assert!(i < self.edges.len(), "more capacities than edges");
+            assert!(cap >= 0.0, "capacity must be non-negative and not NaN");
+            self.edges[i].2 = cap;
+            let a = self.forward_arc[i];
+            self.arcs[a].cap = cap;
+            let rev = self.arcs[a].rev;
+            self.arcs[rev].cap = 0.0;
+            count += 1;
+        }
+        assert_eq!(count, self.edges.len(), "fewer capacities than edges");
     }
 
     /// Computes the maximum s→t flow (mutating residual capacities) and
@@ -150,39 +240,15 @@ impl FlowNetwork {
     ///
     /// Panics if `s == t` or either is out of range.
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> f64 {
-        assert!(
-            s < self.adj.len() && t < self.adj.len(),
-            "node out of range"
-        );
+        assert!(s < self.nodes && t < self.nodes, "node out of range");
         assert_ne!(s, t, "source equals sink");
-        let n = self.adj.len();
+        self.lay_out();
         let mut flow = 0.0f64;
-        // Numerical floor: capacities below this are considered exhausted.
-        const EPS: f64 = 1e-9;
-        // Per-phase scratch, allocated once and reset at each phase.
-        let mut level = vec![usize::MAX; n];
-        let mut it = vec![0usize; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
-        loop {
-            // BFS level graph.
-            level.fill(usize::MAX);
-            level[s] = 0;
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                for e in &self.adj[u] {
-                    if e.cap > EPS && level[e.to] == usize::MAX {
-                        level[e.to] = level[u] + 1;
-                        queue.push_back(e.to);
-                    }
-                }
-            }
-            if level[t] == usize::MAX {
-                break;
-            }
+        while self.level_graph(s, t) {
             // DFS blocking flow.
-            it.fill(0);
+            self.cursor.copy_from_slice(&self.first[..self.nodes]);
             loop {
-                let pushed = self.dfs(s, t, INF, &level, &mut it);
+                let pushed = self.dfs(s, t, INF);
                 if pushed <= EPS {
                     break;
                 }
@@ -198,30 +264,47 @@ impl FlowNetwork {
         flow
     }
 
-    fn dfs(&mut self, u: NodeId, t: NodeId, limit: f64, level: &[usize], it: &mut [usize]) -> f64 {
-        const EPS: f64 = 1e-9;
+    /// BFS over residual arcs from `s`, leaving every node's level in
+    /// `self.level`; returns whether `t` was reached.
+    fn level_graph(&mut self, s: NodeId, t: NodeId) -> bool {
+        self.level.fill(usize::MAX);
+        self.level[s] = 0;
+        self.queue.clear();
+        self.queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            for a in self.first[u]..self.first[u + 1] {
+                let FlowArc { to, cap, .. } = self.arcs[a];
+                if cap > EPS && self.level[to] == usize::MAX {
+                    self.level[to] = self.level[u] + 1;
+                    self.queue.push(to);
+                }
+            }
+        }
+        self.level[t] != usize::MAX
+    }
+
+    fn dfs(&mut self, u: NodeId, t: NodeId, limit: f64) -> f64 {
         if u == t {
             return limit;
         }
-        while it[u] < self.adj[u].len() {
-            let (to, cap, rev) = {
-                let e = &self.adj[u][it[u]];
-                (e.to, e.cap, e.rev)
-            };
-            if cap > EPS && level[to] == level[u] + 1 {
-                let pushed = self.dfs(to, t, limit.min(cap), level, it);
+        while self.cursor[u] < self.first[u + 1] {
+            let a = self.cursor[u];
+            let FlowArc { to, cap, rev, .. } = self.arcs[a];
+            if cap > EPS && self.level[to] == self.level[u] + 1 {
+                let pushed = self.dfs(to, t, limit.min(cap));
                 if pushed > EPS {
-                    let idx = it[u];
-                    if self.adj[u][idx].cap.is_finite() {
-                        self.adj[u][idx].cap -= pushed;
+                    if self.arcs[a].cap.is_finite() {
+                        self.arcs[a].cap -= pushed;
                     }
-                    if self.adj[to][rev].cap.is_finite() {
-                        self.adj[to][rev].cap += pushed;
+                    if self.arcs[rev].cap.is_finite() {
+                        self.arcs[rev].cap += pushed;
                     }
                     return pushed;
                 }
             }
-            it[u] += 1;
+            self.cursor[u] += 1;
         }
         0.0
     }
@@ -245,7 +328,19 @@ impl FlowNetwork {
     /// that certifies it (see [`CutWitness`]). Consumes the residual
     /// state, so call on a fresh or cloned network.
     ///
-    /// The flow on each original edge is recovered from its reverse edge's
+    /// # Panics
+    ///
+    /// Panics if `s == t`, either is out of range, or the min cut is
+    /// unbounded (every s→t cut crosses an [`INF`] edge).
+    pub fn min_cut_with_witness(mut self, s: NodeId, t: NodeId) -> CutWitness {
+        self.cut_witness(s, t)
+    }
+
+    /// [`FlowNetwork::min_cut_with_witness`] without consuming the
+    /// network: solves from the current residual state, which must be
+    /// fresh or just [re-priced](FlowNetwork::reprice).
+    ///
+    /// The flow on each original edge is recovered from its reverse arc's
     /// residual capacity: reverse residuals start at zero, grow by every
     /// unit pushed forward, and shrink by every unit cancelled — and they
     /// stay finite even on [`INF`] edges.
@@ -254,38 +349,31 @@ impl FlowNetwork {
     ///
     /// Panics if `s == t`, either is out of range, or the min cut is
     /// unbounded (every s→t cut crosses an [`INF`] edge).
-    pub fn min_cut_with_witness(mut self, s: NodeId, t: NodeId) -> CutWitness {
+    pub fn cut_witness(&mut self, s: NodeId, t: NodeId) -> CutWitness {
         let value = self.max_flow(s, t);
         assert!(
             value.is_finite(),
             "min cut is unbounded (infinite-capacity path from source to sink)"
         );
-        const EPS: f64 = 1e-9;
-        let n = self.adj.len();
-        let mut source_side = vec![false; n];
-        source_side[s] = true;
-        let mut queue = std::collections::VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
-            for e in &self.adj[u] {
-                if e.cap > EPS && !source_side[e.to] {
-                    source_side[e.to] = true;
-                    queue.push_back(e.to);
-                }
-            }
-        }
+        // The last BFS of a finite max flow ran on the final residual
+        // network: the nodes it levelled are the source side.
+        let source_side: Vec<bool> = self.level.iter().map(|&l| l != usize::MAX).collect();
         debug_assert!(!source_side[t], "sink reachable after max flow");
-        let mut edges = Vec::new();
-        for (u, adj) in self.adj.iter().enumerate() {
-            for e in adj.iter().filter(|e| e.forward) {
-                let flow = self.adj[e.to][e.rev].cap;
-                let capacity = if e.cap.is_infinite() {
+        let mut edges = Vec::with_capacity(self.edges.len());
+        for u in 0..self.nodes {
+            for arc in &self.arcs[self.first[u]..self.first[u + 1]] {
+                if !arc.forward {
+                    continue;
+                }
+                let flow = self.arcs[arc.rev].cap;
+                let capacity = if arc.cap.is_infinite() {
                     INF
                 } else {
-                    e.cap + flow
+                    arc.cap + flow
                 };
                 edges.push(EdgeFlow {
                     from: u,
-                    to: e.to,
+                    to: arc.to,
                     capacity,
                     flow,
                 });
@@ -298,31 +386,23 @@ impl FlowNetwork {
         }
     }
 
-    /// Original forward edges as `(from, to, capacity)` triples, in
-    /// insertion order. Only meaningful on a network whose residual state
-    /// has not been consumed by [`FlowNetwork::max_flow`].
+    /// Original forward edges as `(from, to, capacity)` triples, grouped
+    /// by tail node and in insertion order within a node (the order of a
+    /// [`CutWitness`]). The capacities are the priced ones, whatever flow
+    /// a solve has routed since.
     pub fn edges(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut out = Vec::new();
-        for (u, adj) in self.adj.iter().enumerate() {
-            for e in adj.iter().filter(|e| e.forward) {
-                out.push((u, e.to, e.cap));
-            }
-        }
+        let mut out = self.edges.clone();
+        out.sort_by_key(|&(from, _, _)| from);
         out
     }
 
     /// Sum of original forward-edge capacities crossing a given partition
     /// (`side[u] && !side[v]`). Used by tests to validate cut capacities.
     pub fn cut_value(&self, side: &[bool]) -> f64 {
-        let mut total = 0.0;
-        for (u, edges) in self.adj.iter().enumerate() {
-            for e in edges {
-                if e.forward && side[u] && !side[e.to] {
-                    total += e.cap;
-                }
-            }
-        }
-        total
+        self.edges()
+            .into_iter()
+            .filter(|&(u, v, _)| side[u] && !side[v])
+            .fold(0.0, |total, (_, _, cap)| total + cap)
     }
 }
 
@@ -459,6 +539,54 @@ mod tests {
         // Net source outflow equals the flow value.
         let out: f64 = w.edges.iter().filter(|e| e.from == s).map(|e| e.flow).sum();
         assert!((out - w.value).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reprice_restarts_from_zero_flow_under_new_capacities() {
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let a = net.add_node();
+        let t = net.add_node();
+        net.add_edge(s, a, 3.0);
+        net.add_edge(a, t, 2.0);
+        assert_eq!(net.cut_witness(s, t).value, 2.0);
+        net.reprice([1.0, 5.0]);
+        assert_eq!(net.edges(), vec![(s, a, 1.0), (a, t, 5.0)]);
+        let w = net.cut_witness(s, t);
+        assert_eq!(w.value, 1.0);
+        assert!(!w.source_side[a]);
+    }
+
+    #[test]
+    fn adding_an_edge_after_a_solve_restarts_from_zero_flow() {
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let t = net.add_node();
+        net.add_edge(s, t, 2.0);
+        assert_eq!(net.max_flow(s, t), 2.0);
+        net.add_edge(s, t, 1.0);
+        assert_eq!(net.max_flow(s, t), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer capacities")]
+    fn reprice_rejects_a_short_capacity_list() {
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let t = net.add_node();
+        net.add_edge(s, t, 2.0);
+        net.add_edge(s, t, 1.0);
+        net.reprice([1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn reprice_rejects_a_negative_capacity() {
+        let mut net = FlowNetwork::new();
+        let s = net.add_node();
+        let t = net.add_node();
+        net.add_edge(s, t, 2.0);
+        net.reprice([-1.0]);
     }
 
     #[test]

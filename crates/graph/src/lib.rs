@@ -8,6 +8,21 @@
 //! The end-to-end delay of a partition is not a graph computation: it is
 //! the sum of three serialized phases, `xpro_core::SegmentProfile::delay_s`.
 //!
+//! # Arc layout and re-pricing
+//!
+//! A [`FlowNetwork`] keeps its edges in insertion order and, at its first
+//! solve, lays the residual arcs out in one flat array grouped by tail
+//! node: each edge puts its forward arc at its tail and its reverse arc
+//! at its head, in insertion order within each node. The solver's BFS
+//! levels, DFS arc cursors and queue are reused across solves.
+//! [`FlowNetwork::reprice`] writes new capacities into the forward arcs
+//! in place (one per edge, in insertion order) and zeroes the reverse
+//! arcs, so the generator's Lagrangian sweep builds one network and
+//! solves it at every λ; [`FlowNetwork::cut_witness`] solves without
+//! consuming the network. Each solve starts from zero flow and visits
+//! arcs in the same order, so a re-priced solve returns bit for bit the
+//! witness a freshly built network would.
+//!
 //! # Examples
 //!
 //! The worked example of the paper's Fig. 6/7 — three features and one

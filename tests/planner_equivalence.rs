@@ -6,7 +6,12 @@
 //! definition so a speed-only change to how they are computed cannot move
 //! a plan, a certificate or a cache entry.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use xpro::analyze::SignalBounds;
 use xpro::battery::BatteryModel;
 use xpro::core::approx::{assignment_for_graph, ApproxLevel};
@@ -15,8 +20,8 @@ use xpro::core::cellgraph::{CellGraph, CellId, PortRef};
 use xpro::core::stgraph::{build_network, certified_min_cut_partition};
 use xpro::core::testutil::tiny_instance;
 use xpro::core::{
-    evaluate, AggregatorModel, CutCertificate, Partition, PipelineConfig, PlanCache, SystemConfig,
-    XProGenerator, XProInstance, XProPipeline,
+    evaluate, AggregatorModel, CutCertificate, Partition, PipelineConfig, PlanCache,
+    PlanCacheStats, SystemConfig, XProGenerator, XProInstance, XProPipeline,
 };
 use xpro::data::{generate_case_sized, CaseId};
 use xpro::hw::{ApproxConfig, ProcessNode};
@@ -130,33 +135,37 @@ fn check_against_full_sweep(tag: &str, base: &XProInstance) -> usize {
 }
 
 /// The Table-1 cases as `plan_sweep` trains them: 240 segments of the
-/// seed-1 datasets, the 24-candidate harness ensemble.
-fn table1_instances() -> Vec<(CaseId, XProInstance)> {
-    let cfg = PipelineConfig::builder()
-        .subspace(SubspaceConfig {
-            candidates: 24,
-            features_per_base: 12,
-            keep_fraction: 0.25,
-            min_keep: 4,
-            folds: 3,
-            ..SubspaceConfig::default()
-        })
-        .build()
-        .expect("valid config");
-    CaseId::ALL
-        .iter()
-        .map(|&case| {
-            let data = generate_case_sized(case, 240, 1);
-            let pipeline = XProPipeline::train(&data, &cfg).expect("trains");
-            let inst = XProInstance::try_new(
-                pipeline.built().clone(),
-                SystemConfig::default(),
-                pipeline.segment_len(),
-            )
-            .expect("valid instance");
-            (case, inst)
-        })
-        .collect()
+/// seed-1 datasets, the 24-candidate harness ensemble. Trained once per
+/// test binary.
+fn table1_instances() -> &'static [(CaseId, XProInstance)] {
+    static INSTANCES: OnceLock<Vec<(CaseId, XProInstance)>> = OnceLock::new();
+    INSTANCES.get_or_init(|| {
+        let cfg = PipelineConfig::builder()
+            .subspace(SubspaceConfig {
+                candidates: 24,
+                features_per_base: 12,
+                keep_fraction: 0.25,
+                min_keep: 4,
+                folds: 3,
+                ..SubspaceConfig::default()
+            })
+            .build()
+            .expect("valid config");
+        CaseId::ALL
+            .iter()
+            .map(|&case| {
+                let data = generate_case_sized(case, 240, 1);
+                let pipeline = XProPipeline::train(&data, &cfg).expect("trains");
+                let inst = XProInstance::try_new(
+                    pipeline.built().clone(),
+                    SystemConfig::default(),
+                    pipeline.segment_len(),
+                )
+                .expect("valid instance");
+                (case, inst)
+            })
+            .collect()
+    })
 }
 
 #[test]
@@ -181,6 +190,68 @@ fn bisected_sweep_plans_like_the_full_sweep() {
     }
     // Most requests are feasible, so the comparison is not vacuous.
     assert!(planned > 1500, "only {planned} requests planned");
+}
+
+/// Serves the Table-1 instances under the paper radios at seven limits,
+/// each request twice, through one plan cache in a seeded shuffled order:
+/// the memoized λ search per priced instance must plan exactly like a
+/// fresh generator, and the counters must keep their key-level meaning.
+#[test]
+fn memoized_searches_plan_like_a_fresh_generator() {
+    let mut requests = Vec::new();
+    for (case, inst) in table1_instances() {
+        for radio in TransceiverModel::paper_models() {
+            let config = SystemConfig {
+                radio,
+                ..inst.config().clone()
+            };
+            let priced = inst.reconfigured(config).expect("reconfigures");
+            let default_s = XProGenerator::new(&priced).default_delay_limit();
+            for factor in [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0] {
+                let tag = format!("{case:?} {} {factor}x", priced.config().radio.name());
+                requests.push((tag, priced.clone(), factor * default_s));
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..requests.len()).chain(0..requests.len()).collect();
+    order.shuffle(&mut StdRng::seed_from_u64(27));
+
+    let mut cache = PlanCache::new(4);
+    let mut want = PlanCacheStats::default();
+    let mut planned_keys = BTreeSet::new();
+    let mut cut_derived = 0;
+    for &i in &order {
+        let (tag, inst, limit_s) = &requests[i];
+        let key = PlanCache::key(inst, *limit_s);
+        let got = cache.plan_for(inst, *limit_s);
+        let fresh = XProGenerator::new(inst).delay_constrained_cut_certified(*limit_s);
+        if planned_keys.contains(&key) {
+            want.hits += 1;
+        } else {
+            want.misses += 1;
+        }
+        let ((p, cert), (fresh_p, fresh_cert)) = match (got, fresh) {
+            (Ok(got), Ok(fresh)) => (got, fresh),
+            (Err(_), Err(_)) => continue,
+            (got, fresh) => panic!(
+                "{tag}: feasibility {:?} vs {:?}",
+                got.is_ok(),
+                fresh.is_ok()
+            ),
+        };
+        planned_keys.insert(key);
+        cut_derived += usize::from(cert.is_some());
+        assert_eq!(p, fresh_p, "{tag}: partition");
+        assert_eq!(
+            cert.map(|c| (c.lambda_pj_per_s.to_bits(), c.witness)),
+            fresh_cert.map(|c| (c.lambda_pj_per_s.to_bits(), c.witness)),
+            "{tag}: certificate"
+        );
+    }
+    assert_eq!(cache.stats(), want);
+    // Not vacuous: most requests plan, and many winners are cuts.
+    assert!(planned_keys.len() > 80, "{} planned", planned_keys.len());
+    assert!(cut_derived > 100, "{cut_derived} cut-derived plans");
 }
 
 /// Digests of the networks and certified plans of `tiny_instance` seeds
